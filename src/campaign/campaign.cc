@@ -164,7 +164,7 @@ CampaignResult::registerStats(StatRegistry &registry) const
 int
 resolveWorkerCount(int requested, size_t job_count)
 {
-    int workers = requested > 0
+    int workers = requested != 0
                       ? requested
                       : static_cast<int>(
                             std::thread::hardware_concurrency());

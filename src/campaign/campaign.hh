@@ -198,8 +198,9 @@ struct CampaignResult
 };
 
 /**
- * Workers for @p requested (0 = hardware_concurrency), never more
- * than @p job_count and at least 1.
+ * Workers for @p requested: 0 means auto (hardware_concurrency), a
+ * negative request clamps to 1. Never more than @p job_count and at
+ * least 1.
  */
 int resolveWorkerCount(int requested, size_t job_count);
 

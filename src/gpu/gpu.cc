@@ -32,9 +32,9 @@ Gpu::Gpu(const GpuConfig &config, uint64_t timeline_interval,
     rtDue_.assign(static_cast<size_t>(config_.numSms), 0);
     coreDirty_.assign(static_cast<size_t>(config_.numSms), 0);
     due_.reserve(queue_.components());
-    // Escape hatch for measured before/after comparisons (micro_sched)
-    // and loop-parity tests; deliberately not a GpuConfig knob so
-    // config fingerprints (and the result cache) are unaffected.
+    // The polling loop is the reference for the loop-parity tests
+    // only; deliberately not a GpuConfig knob so config fingerprints
+    // (and the result cache) are unaffected.
     const char *legacy = std::getenv("LUMI_LEGACY_LOOP");
     legacyLoop_ = legacy && *legacy && *legacy != '0';
 }

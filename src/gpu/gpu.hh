@@ -197,8 +197,8 @@ class Gpu
     void runEventLoop(const KernelLaunch &launch,
                       uint32_t &next_warp);
     /** The pre-event-queue cycle-the-world loop, kept runnable
-     *  (LUMI_LEGACY_LOOP=1) as the measured before in micro_sched
-     *  and as a parity oracle in tests. */
+     *  (LUMI_LEGACY_LOOP=1) only as the reference the loop-parity
+     *  tests hold the event loop to. */
     void runLegacyLoop(const KernelLaunch &launch,
                        uint32_t &next_warp);
 

@@ -103,39 +103,38 @@ class Timeline
         return out;
     }
 
-    /**
-     * AerialVision-style CSV dump: one row per window with IPC,
-     * L1D miss rate and RT-unit residency (the Fig. 6 series).
-     * @return true on success
-     */
-    bool
-    writeCsv(const std::string &path, int rt_units) const
-    {
-        FILE *file = std::fopen(path.c_str(), "w");
-        if (!file)
-            return false;
-        bool ok = std::fprintf(file,
-                               "cycle_start,cycle_end,ipc,"
-                               "l1d_miss_rate,rt_warps_per_unit\n") >=
-                  0;
-        for (const TimelineWindow &w : windows(rt_units)) {
-            if (std::fprintf(file,
-                             "%" PRIu64 ",%" PRIu64
-                             ",%.6f,%.6f,%.6f\n",
-                             w.cycleStart, w.cycleEnd, w.ipc,
-                             w.l1MissRate, w.rtWarpsPerUnit) < 0)
-                ok = false;
-        }
-        if (std::fclose(file) != 0)
-            ok = false;
-        return ok;
-    }
-
   private:
     uint64_t interval_;
     uint64_t nextSample_ = 0;
     std::vector<TimelineSample> samples_;
 };
+
+/**
+ * AerialVision-style CSV dump of @p windows: one row per window with
+ * IPC, L1D miss rate and RT-unit residency (the Fig. 6 series).
+ * @return true on success
+ */
+inline bool
+writeTimelineCsv(const std::string &path,
+                 const std::vector<TimelineWindow> &windows)
+{
+    FILE *file = std::fopen(path.c_str(), "w");
+    if (!file)
+        return false;
+    bool ok = std::fprintf(file, "cycle_start,cycle_end,ipc,"
+                                 "l1d_miss_rate,rt_warps_per_unit\n") >=
+              0;
+    for (const TimelineWindow &w : windows) {
+        if (std::fprintf(file,
+                         "%" PRIu64 ",%" PRIu64 ",%.6f,%.6f,%.6f\n",
+                         w.cycleStart, w.cycleEnd, w.ipc, w.l1MissRate,
+                         w.rtWarpsPerUnit) < 0)
+            ok = false;
+    }
+    if (std::fclose(file) != 0)
+        ok = false;
+    return ok;
+}
 
 } // namespace lumi
 

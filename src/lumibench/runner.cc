@@ -83,36 +83,6 @@ dumpStats(const Gpu &gpu, const AccelStats *accel,
     return registry.toJson();
 }
 
-/** Attach interval sampling / self-profiling per @p options. */
-struct Observers
-{
-    std::unique_ptr<IntervalSampler> sampler;
-    std::unique_ptr<HostProfiler> profiler;
-
-    Observers(Gpu &gpu, const RunOptions &options)
-    {
-        if (options.intervalStats > 0) {
-            sampler = std::make_unique<IntervalSampler>(
-                options.intervalStats);
-            registerGpu(sampler->registry(), gpu);
-            gpu.setIntervalSampler(sampler.get());
-        }
-        if (options.selfProfile) {
-            profiler = std::make_unique<HostProfiler>();
-            gpu.setHostProfiler(profiler.get());
-        }
-    }
-
-    void
-    collect(WorkloadResult &result) const
-    {
-        if (sampler)
-            result.intervalSeries = sampler->series();
-        if (profiler)
-            result.hostProfile = profiler->profile();
-    }
-};
-
 /** Build and throw the SimulationAborted for an early-stopped run. */
 [[noreturn]] void
 throwAborted(const std::string &id, const Gpu &gpu,
@@ -132,6 +102,108 @@ throwAborted(const std::string &id, const Gpu &gpu,
                   reason);
     throw SimulationAborted(buf, cancelled, gpu.now());
 }
+
+std::shared_ptr<Tracer>
+makeTracer(const RunOptions &options)
+{
+    auto tracer = std::make_shared<Tracer>(options.traceCapacity);
+    tracer->setMask(options.traceMask);
+    return tracer;
+}
+
+/**
+ * The simulate-and-collect path every workload family shares: a Gpu
+ * set up from @p options (tracer, cycle budget, cancel flag, DRAM
+ * bandwidth scale, interval sampler, host profiler), and finish(),
+ * which turns the finished Gpu into a WorkloadResult. The families
+ * differ only in what they build and launch on gpu in between.
+ */
+struct Simulation
+{
+    const RunOptions &options;
+    /** Host phases of the whole run; finish() adds "analysis". */
+    PhaseProfiler &phases;
+    std::shared_ptr<Tracer> tracer;
+    Gpu gpu;
+    std::unique_ptr<IntervalSampler> sampler;
+    std::unique_ptr<HostProfiler> profiler;
+
+    Simulation(const RunOptions &run_options, PhaseProfiler &run_phases)
+        : options(run_options), phases(run_phases),
+          tracer(makeTracer(run_options)),
+          gpu(options.config, options.timelineInterval, tracer.get())
+    {
+        gpu.setCycleBudget(options.maxCycles);
+        gpu.setCancelFlag(options.cancelFlag);
+        if (options.dramBandwidthScale != 1.0) {
+            gpu.memSystem().dram().setBandwidthScale(
+                options.dramBandwidthScale);
+        }
+        if (options.intervalStats > 0) {
+            sampler = std::make_unique<IntervalSampler>(
+                options.intervalStats);
+            registerGpu(sampler->registry(), gpu);
+            gpu.setIntervalSampler(sampler.get());
+        }
+        if (options.selfProfile) {
+            profiler = std::make_unique<HostProfiler>();
+            gpu.setHostProfiler(profiler.get());
+        }
+    }
+
+    /**
+     * Collect the finished run as workload @p id. @p accel and
+     * @p context are null for compute kernels; a context gets its
+     * accelStats pointed at the result's. Throws SimulationAborted
+     * when the run stopped early.
+     */
+    WorkloadResult
+    finish(const std::string &id, const AccelStructure *accel,
+           WorkloadContext *context)
+    {
+        if (gpu.aborted())
+            throwAborted(id, gpu, options);
+        WorkloadResult result;
+        {
+            PhaseProfiler::Scoped phase(phases, "analysis");
+            result.id = id;
+            result.stats = gpu.stats();
+            result.profileSm = gpu.profile().smTotal();
+            result.profileRt = gpu.profile().rtTotal();
+            result.dram = gpu.memSystem().dram().stats();
+            result.l1Rt = gpu.memSystem().l1Rt();
+            result.l1Shader = gpu.memSystem().l1Shader();
+            result.l2Rt = gpu.memSystem().l2Rt();
+            result.l2Shader = gpu.memSystem().l2Shader();
+            for (int k = 0; k < numDataKinds; k++) {
+                result.kindReads[k] = gpu.memSystem().kindReads()[k];
+                result.kindMisses[k] =
+                    gpu.memSystem().kindMisses()[k];
+            }
+            if (accel)
+                result.accelStats = accel->computeStats();
+            if (context)
+                context->accelStats = &result.accelStats;
+            result.rtUnits = options.config.numSms *
+                             options.config.rtUnitsPerSm;
+            result.metrics = collectMetrics(gpu, context);
+            result.metrics.workload = result.id;
+            result.timeline = gpu.timeline().windows(result.rtUnits);
+            result.analytical = evaluateHongKim(gpu);
+            result.statsJson = dumpStats(
+                gpu, accel ? &result.accelStats : nullptr,
+                tracer.get());
+            if (sampler)
+                result.intervalSeries = sampler->series();
+            if (profiler)
+                result.hostProfile = profiler->profile();
+        }
+        if (options.traceMask != 0)
+            result.trace = tracer;
+        result.phases = phases.timings();
+        return result;
+    }
+};
 
 } // namespace
 
@@ -212,140 +284,63 @@ applyRunFlag(RunOptions &options, const std::string &flag,
 WorkloadResult
 runWorkload(const Workload &workload, const RunOptions &options)
 {
-    PhaseProfiler profiler;
+    PhaseProfiler phases;
     // RTQ query workloads use the compute-layer scene generators and
     // pipeline; everything downstream (stats, metrics, reports) is
     // identical.
     const bool query = isQueryShader(workload.shader);
     Scene scene = [&] {
-        PhaseProfiler::Scoped phase(profiler, "scene_build");
+        PhaseProfiler::Scoped phase(phases, "scene_build");
         return query ? rtq::buildRtqScene(workload.scene,
                                           options.sceneDetail)
                      : buildScene(workload.scene,
                                   options.sceneDetail);
     }();
-
-    auto tracer = std::make_shared<Tracer>(options.traceCapacity);
-    tracer->setMask(options.traceMask);
-    Gpu gpu(options.config, options.timelineInterval, tracer.get());
-    gpu.setCycleBudget(options.maxCycles);
-    gpu.setCancelFlag(options.cancelFlag);
-    if (options.dramBandwidthScale != 1.0) {
-        gpu.memSystem().dram().setBandwidthScale(
-            options.dramBandwidthScale);
-    }
-    Observers observers(gpu, options);
+    Simulation sim(options, phases);
 
     // The pipeline constructor builds the BLASes/TLAS and lays the
     // scene out in GPU memory; time it as the BVH-build phase.
     std::optional<RayTracingPipeline> pipeline;
     std::optional<rtq::RtqPipeline> rtqPipeline;
     {
-        PhaseProfiler::Scoped phase(profiler, "bvh_build");
+        PhaseProfiler::Scoped phase(phases, "bvh_build");
         if (query)
-            rtqPipeline.emplace(gpu, scene, options.params);
+            rtqPipeline.emplace(sim.gpu, scene, options.params);
         else
-            pipeline.emplace(gpu, scene, options.params);
+            pipeline.emplace(sim.gpu, scene, options.params);
     }
     {
-        PhaseProfiler::Scoped phase(profiler, "simulate");
+        PhaseProfiler::Scoped phase(phases, "simulate");
         if (query)
             rtqPipeline->run(workload.shader);
         else
             pipeline->render(workload.shader);
     }
-    if (gpu.aborted())
-        throwAborted(workload.id(), gpu, options);
 
-    WorkloadResult result;
-    {
-        PhaseProfiler::Scoped phase(profiler, "analysis");
-        result.id = workload.id();
-        result.stats = gpu.stats();
-        result.profileSm = gpu.profile().smTotal();
-        result.profileRt = gpu.profile().rtTotal();
-        result.dram = gpu.memSystem().dram().stats();
-        result.l1Rt = gpu.memSystem().l1Rt();
-        result.l1Shader = gpu.memSystem().l1Shader();
-        result.l2Rt = gpu.memSystem().l2Rt();
-        result.l2Shader = gpu.memSystem().l2Shader();
-        for (int k = 0; k < numDataKinds; k++) {
-            result.kindReads[k] = gpu.memSystem().kindReads()[k];
-            result.kindMisses[k] = gpu.memSystem().kindMisses()[k];
-        }
-        result.accelStats = query
-                                ? rtqPipeline->accel().computeStats()
-                                : pipeline->accel().computeStats();
-        result.rtUnits = options.config.numSms *
-                         options.config.rtUnitsPerSm;
-
-        WorkloadContext context;
-        context.scene = &scene;
-        context.accelStats = &result.accelStats;
-        context.shader = workload.shader;
-        context.params = options.params;
-        result.metrics = collectMetrics(gpu, &context);
-        result.metrics.workload = result.id;
-        result.timeline = gpu.timeline().windows(result.rtUnits);
-        result.analytical = evaluateHongKim(gpu);
-        result.statsJson = dumpStats(gpu, &result.accelStats,
-                                     tracer.get());
-        observers.collect(result);
-    }
-    if (options.traceMask != 0)
-        result.trace = tracer;
-    result.phases = profiler.timings();
+    WorkloadContext context;
+    context.scene = &scene;
+    context.shader = workload.shader;
+    context.params = options.params;
+    WorkloadResult result = sim.finish(
+        workload.id(),
+        query ? &rtqPipeline->accel() : &pipeline->accel(), &context);
+    if (pipeline)
+        result.framebuffer = pipeline->framebuffer();
     return result;
 }
 
 WorkloadResult
 runCompute(ComputeKernel kernel, const RunOptions &options)
 {
-    PhaseProfiler profiler;
-    auto tracer = std::make_shared<Tracer>(options.traceCapacity);
-    tracer->setMask(options.traceMask);
-    Gpu gpu(options.config, options.timelineInterval, tracer.get());
-    gpu.setCycleBudget(options.maxCycles);
-    gpu.setCancelFlag(options.cancelFlag);
-    Observers observers(gpu, options);
-    ComputeParams params;
-    params.scale = 1;
+    PhaseProfiler phases;
+    Simulation sim(options, phases);
     {
-        PhaseProfiler::Scoped phase(profiler, "simulate");
-        runComputeKernel(gpu, kernel, params);
+        PhaseProfiler::Scoped phase(phases, "simulate");
+        ComputeParams params;
+        params.scale = 1;
+        runComputeKernel(sim.gpu, kernel, params);
     }
-    if (gpu.aborted())
-        throwAborted(computeKernelName(kernel), gpu, options);
-
-    WorkloadResult result;
-    {
-        PhaseProfiler::Scoped phase(profiler, "analysis");
-        result.id = computeKernelName(kernel);
-        result.stats = gpu.stats();
-        result.profileSm = gpu.profile().smTotal();
-        result.profileRt = gpu.profile().rtTotal();
-        result.dram = gpu.memSystem().dram().stats();
-        result.l1Rt = gpu.memSystem().l1Rt();
-        result.l1Shader = gpu.memSystem().l1Shader();
-        result.l2Rt = gpu.memSystem().l2Rt();
-        result.l2Shader = gpu.memSystem().l2Shader();
-        for (int k = 0; k < numDataKinds; k++) {
-            result.kindReads[k] = gpu.memSystem().kindReads()[k];
-            result.kindMisses[k] = gpu.memSystem().kindMisses()[k];
-        }
-        result.rtUnits = options.config.numSms *
-                         options.config.rtUnitsPerSm;
-        result.metrics = collectMetrics(gpu, nullptr);
-        result.metrics.workload = result.id;
-        result.timeline = gpu.timeline().windows(result.rtUnits);
-        result.analytical = evaluateHongKim(gpu);
-        result.statsJson = dumpStats(gpu, nullptr, tracer.get());
-        observers.collect(result);
-    }
-    if (options.traceMask != 0)
-        result.trace = tracer;
-    result.phases = profiler.timings();
-    return result;
+    return sim.finish(computeKernelName(kernel), nullptr, nullptr);
 }
 
 } // namespace lumi

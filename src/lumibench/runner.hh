@@ -19,6 +19,7 @@
 #include "gpu/gpu.hh"
 #include "gpu/host_profile.hh"
 #include "lumibench/workload.hh"
+#include "math/vec.hh"
 #include "metrics/metrics.hh"
 #include "trace/interval.hh"
 #include "trace/phase.hh"
@@ -182,6 +183,12 @@ struct WorkloadResult
     std::vector<PhaseTiming> phases;
     /** Event trace; non-null only when RunOptions::traceMask != 0. */
     std::shared_ptr<Tracer> trace;
+    /**
+     * The rendered image of a graphics workload (row-major,
+     * RunOptions::params width x height); empty for query and compute
+     * workloads. Never serialized into reports or cache entries.
+     */
+    std::vector<Vec3> framebuffer;
 
     double
     ipcThread() const

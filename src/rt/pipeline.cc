@@ -592,14 +592,14 @@ RayTracingPipeline::aoWarp(WarpContext &ctx)
 }
 
 bool
-RayTracingPipeline::writePpm(const std::string &path) const
+writePpm(const std::string &path, const std::vector<Vec3> &pixels,
+         int width, int height)
 {
     FILE *file = std::fopen(path.c_str(), "wb");
     if (!file)
         return false;
-    std::fprintf(file, "P6\n%d %d\n255\n", params_.width,
-                 params_.height);
-    for (const Vec3 &pixel : framebuffer_) {
+    bool ok = std::fprintf(file, "P6\n%d %d\n255\n", width, height) >= 0;
+    for (const Vec3 &pixel : pixels) {
         auto encode = [](float v) {
             // Gamma 2.2 with clamp.
             v = std::pow(std::max(0.0f, std::min(1.0f, v)),
@@ -608,10 +608,12 @@ RayTracingPipeline::writePpm(const std::string &path) const
         };
         unsigned char rgb[3] = {encode(pixel.x), encode(pixel.y),
                                 encode(pixel.z)};
-        std::fwrite(rgb, 1, 3, file);
+        if (std::fwrite(rgb, 1, 3, file) != 3)
+            ok = false;
     }
-    std::fclose(file);
-    return true;
+    if (std::fclose(file) != 0)
+        ok = false;
+    return ok;
 }
 
 } // namespace lumi

@@ -24,6 +24,13 @@
 namespace lumi
 {
 
+/**
+ * Write @p pixels (linear radiance, row-major, @p width x @p height)
+ * as a gamma-2.2 binary PPM; returns success.
+ */
+bool writePpm(const std::string &path, const std::vector<Vec3> &pixels,
+              int width, int height);
+
 /** Renders a scene on a simulated GPU. */
 class RayTracingPipeline
 {
@@ -57,7 +64,11 @@ class RayTracingPipeline
     }
 
     /** Write the framebuffer as a binary PPM; returns success. */
-    bool writePpm(const std::string &path) const;
+    bool writePpm(const std::string &path) const
+    {
+        return lumi::writePpm(path, framebuffer_, params_.width,
+                              params_.height);
+    }
 
   private:
     void pathTracingWarp(WarpContext &ctx);

@@ -639,28 +639,49 @@ TEST(GoldenParity, LegacyLoopMatchesEventLoop)
     // The retained polling loop (LUMI_LEGACY_LOOP=1) and the event
     // scheduler must agree to the cycle. The pins above anchor the
     // event loop to the seed; this anchors the two loops to each
-    // other on a finite-resource run, where the due-set computation
-    // actually skips components and a registration bug would move
-    // the landing cycles.
-    RunOptions options;
-    options.params.width = 16;
-    options.params.height = 16;
-    options.config = GpuConfig::table4();
-    const Workload workload{SceneId::AMR,
-                            ShaderKind::PointContainment};
-    WorkloadResult event = runWorkload(workload, options);
-    setenv("LUMI_LEGACY_LOOP", "1", 1);
-    WorkloadResult legacy = runWorkload(workload, options);
-    unsetenv("LUMI_LEGACY_LOOP");
-    EXPECT_EQ(legacy.stats.cycles, event.stats.cycles);
-    EXPECT_EQ(legacy.stats.instructions, event.stats.instructions);
-    EXPECT_EQ(legacy.stats.raysTraced, event.stats.raysTraced);
-    EXPECT_EQ(legacy.l1Rt.reads, event.l1Rt.reads);
-    EXPECT_EQ(legacy.l1Rt.hits, event.l1Rt.hits);
-    EXPECT_EQ(legacy.l1Rt.misses, event.l1Rt.misses);
-    EXPECT_EQ(legacy.l1Shader.reads, event.l1Shader.reads);
-    EXPECT_EQ(legacy.l2Rt.misses, event.l2Rt.misses);
-    EXPECT_EQ(legacy.dram.accesses, event.dram.accesses);
+    // other on graphics and query workloads under both the unlimited
+    // mobile config and the finite-resource Table 4 machine, where
+    // the due-set computation actually skips components and a
+    // registration bug would move the landing cycles.
+    struct Point
+    {
+        Workload workload;
+        GpuConfig config;
+    };
+    const Point points[] = {
+        {{SceneId::AMR, ShaderKind::PointContainment},
+         GpuConfig::table4()},
+        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
+         GpuConfig::mobile()},
+        {{SceneId::SPNZA, ShaderKind::AmbientOcclusion},
+         GpuConfig::mobile()},
+        {{SceneId::WKND, ShaderKind::PathTracing}, GpuConfig::mobile()},
+        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
+         GpuConfig::table4()},
+    };
+    for (const Point &point : points) {
+        RunOptions options;
+        options.params.width = 16;
+        options.params.height = 16;
+        options.config = point.config;
+        const std::string where =
+            point.workload.id() + "/" + point.config.name;
+        WorkloadResult event = runWorkload(point.workload, options);
+        setenv("LUMI_LEGACY_LOOP", "1", 1);
+        WorkloadResult legacy = runWorkload(point.workload, options);
+        unsetenv("LUMI_LEGACY_LOOP");
+        EXPECT_EQ(legacy.stats.cycles, event.stats.cycles) << where;
+        EXPECT_EQ(legacy.stats.instructions, event.stats.instructions)
+            << where;
+        EXPECT_EQ(legacy.stats.raysTraced, event.stats.raysTraced)
+            << where;
+        EXPECT_EQ(legacy.l1Rt.reads, event.l1Rt.reads) << where;
+        EXPECT_EQ(legacy.l1Rt.hits, event.l1Rt.hits) << where;
+        EXPECT_EQ(legacy.l1Rt.misses, event.l1Rt.misses) << where;
+        EXPECT_EQ(legacy.l1Shader.reads, event.l1Shader.reads) << where;
+        EXPECT_EQ(legacy.l2Rt.misses, event.l2Rt.misses) << where;
+        EXPECT_EQ(legacy.dram.accesses, event.dram.accesses) << where;
+    }
 }
 
 } // namespace

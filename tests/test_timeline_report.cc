@@ -70,7 +70,7 @@ TEST(Timeline, CsvExport)
     sample.l1Misses = 5;
     timeline.record(20, sample);
     std::string path = ::testing::TempDir() + "/timeline.csv";
-    ASSERT_TRUE(timeline.writeCsv(path, 8));
+    ASSERT_TRUE(writeTimelineCsv(path, timeline.windows(8)));
     std::ifstream in(path);
     std::string header, row;
     std::getline(in, header);
@@ -81,7 +81,8 @@ TEST(Timeline, CsvExport)
     EXPECT_EQ(row.rfind("0,20,2.5", 0), 0u);
     std::remove(path.c_str());
     // Unwritable path reports failure instead of crashing.
-    EXPECT_FALSE(timeline.writeCsv("/nonexistent/dir/t.csv", 8));
+    EXPECT_FALSE(
+        writeTimelineCsv("/nonexistent/dir/t.csv", timeline.windows(8)));
 }
 
 TEST(Report, NumberFormatting)

@@ -12,6 +12,8 @@
 #include "lumibench/report.hh"
 #include "lumibench/runner.hh"
 #include "lumibench/workload.hh"
+#include "rt/pipeline.hh"
+#include "scene/scene_library.hh"
 
 namespace lumi
 {
@@ -139,6 +141,45 @@ TEST(Runner, DramBandwidthScaleTakesEffect)
     // Throttled DRAM can only slow things down (or leave them equal
     // for latency-bound workloads -- the Sec. 5.3.2 observation).
     EXPECT_GE(slow.stats.cycles, fast.stats.cycles);
+    // Compute kernels go through the same Gpu set-up: a
+    // bandwidth-bound kernel must actually slow down.
+    WorkloadResult kmeans_fast = runCompute(ComputeKernel::Kmeans, base);
+    WorkloadResult kmeans_slow =
+        runCompute(ComputeKernel::Kmeans, throttled);
+    EXPECT_GT(kmeans_slow.stats.cycles, kmeans_fast.stats.cycles);
+}
+
+TEST(Runner, CarriesFrameAndTimelineOfTheOneSimulation)
+{
+    // The CLI writes --ppm-dir / --timeline-dir from the result, so
+    // the result must carry exactly what a bare pipeline render on
+    // its own Gpu produces.
+    RunOptions options;
+    options.params.width = 16;
+    options.params.height = 16;
+    options.sceneDetail = 0.2f;
+    const Workload w{SceneId::BUNNY, ShaderKind::AmbientOcclusion};
+    WorkloadResult result = runWorkload(w, options);
+
+    Scene scene = buildScene(w.scene, options.sceneDetail);
+    Gpu gpu(options.config, options.timelineInterval);
+    RayTracingPipeline pipeline(gpu, scene, options.params);
+    pipeline.render(w.shader);
+    ASSERT_EQ(result.framebuffer.size(), 16u * 16u);
+    EXPECT_EQ(result.framebuffer, pipeline.framebuffer());
+    std::vector<TimelineWindow> windows =
+        gpu.timeline().windows(result.rtUnits);
+    ASSERT_EQ(result.timeline.size(), windows.size());
+    for (size_t i = 0; i < windows.size(); i++) {
+        EXPECT_EQ(result.timeline[i].cycleEnd, windows[i].cycleEnd);
+        EXPECT_EQ(result.timeline[i].ipc, windows[i].ipc);
+    }
+
+    // Query and compute workloads render no image.
+    EXPECT_TRUE(runWorkload({SceneId::AMR, ShaderKind::PointContainment},
+                            options)
+                    .framebuffer.empty());
+    EXPECT_TRUE(runCompute(ComputeKernel::Nn, options).framebuffer.empty());
 }
 
 TEST(Report, TextTableAlignsColumns)

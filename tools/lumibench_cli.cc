@@ -279,29 +279,27 @@ cmdRun(const std::vector<std::string> &args)
     for (const Workload &workload : workloads) {
         std::fprintf(stderr, "running %-10s ...\n",
                      workload.id().c_str());
-        if ((!ppm_dir.empty() || !timeline_dir.empty()) &&
-            !isQueryShader(workload.shader)) {
-            // Query workloads have no image to write; the RTQ
-            // pipeline runs inside runWorkload() below.
-            // Render via the pipeline directly to keep the image
-            // and the AerialVision-style time series.
-            Scene scene = buildScene(workload.scene,
-                                     options.sceneDetail);
-            Gpu gpu(options.config, options.timelineInterval);
-            RayTracingPipeline pipeline(gpu, scene, options.params);
-            pipeline.render(workload.shader);
-            if (!ppm_dir.empty()) {
-                pipeline.writePpm(ppm_dir + "/" + workload.id() +
-                                  ".ppm");
-            }
-            if (!timeline_dir.empty()) {
-                gpu.timeline().writeCsv(
-                    timeline_dir + "/" + workload.id() + ".csv",
-                    options.config.numSms *
-                        options.config.rtUnitsPerSm);
+        WorkloadResult result = runWorkload(workload, options);
+        // Query workloads render no image, so they write no PPM.
+        if (!ppm_dir.empty() && !result.framebuffer.empty()) {
+            std::string path = ppm_dir + "/" + result.id + ".ppm";
+            if (!writePpm(path, result.framebuffer,
+                          options.params.width,
+                          options.params.height)) {
+                std::fprintf(stderr, "failed to write %s\n",
+                             path.c_str());
+                return 1;
             }
         }
-        WorkloadResult result = runWorkload(workload, options);
+        if (!timeline_dir.empty()) {
+            std::string path = timeline_dir + "/" + result.id +
+                               ".csv";
+            if (!writeTimelineCsv(path, result.timeline)) {
+                std::fprintf(stderr, "failed to write %s\n",
+                             path.c_str());
+                return 1;
+            }
+        }
         rows.push_back(result.metrics);
         table.addRow({result.id, std::to_string(result.stats.cycles),
                       TextTable::num(result.ipcThread(), 2),
