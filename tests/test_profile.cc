@@ -122,6 +122,15 @@ struct ConservationPoint
     ShaderKind shader;
 };
 
+// Without this, gtest prints the point's raw bytes, tag pointer
+// included, so the discovered ctest name would change with every
+// address-space layout.
+void
+PrintTo(const ConservationPoint &point, std::ostream *os)
+{
+    *os << point.tag;
+}
+
 class ProfileConservation
     : public ::testing::TestWithParam<ConservationPoint>
 {
