@@ -149,7 +149,8 @@ main()
                         s.intersectionInvocations));
         std::string path = std::string("gallery_") +
                            shaderName(shader) + ".ppm";
-        pipeline.writePpm(path);
+        writePpm(path, pipeline.framebuffer(), params.width,
+                 params.height);
     }
     std::printf("\nwrote gallery_PT.ppm / gallery_SH.ppm / "
                 "gallery_AO.ppm\n");

@@ -99,7 +99,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(stats.raysTraced),
                 accel.totalDepth, stats.avgTraversalLength(),
                 stats.rtEfficiency());
-    if (pipeline.writePpm(out_path))
+    if (writePpm(out_path, pipeline.framebuffer(), params.width,
+                 params.height))
         std::printf("wrote %s\n", out_path);
     return 0;
 }

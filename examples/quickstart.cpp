@@ -89,7 +89,8 @@ main(int argc, char **argv)
     std::printf("  DRAM efficiency   %.3f, utilization %.3f\n",
                 dram.efficiency(), dram.utilization(stats.cycles));
 
-    if (pipeline.writePpm("quickstart.ppm"))
+    if (writePpm("quickstart.ppm", pipeline.framebuffer(), params.width,
+                 params.height))
         std::printf("\nwrote quickstart.ppm\n");
     return 0;
 }

@@ -63,22 +63,6 @@ class ParamHash
     uint64_t hash_ = 14695981039346656037ull;
 };
 
-bool
-readFile(const std::string &path, std::string &out)
-{
-    FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return false;
-    out.clear();
-    char buf[1 << 14];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        out.append(buf, got);
-    bool ok = !std::ferror(file);
-    std::fclose(file);
-    return ok;
-}
-
 /** Relative double compare tolerant of one %.12g round trip. */
 bool
 sameValue(double a, double b)
@@ -185,12 +169,8 @@ readCachedResult(const std::string &path, const Job &job,
                  WorkloadResult &out)
 {
     std::string text;
-    if (!readFile(path, text))
-        return false;
     JsonValue doc;
-    if (!parseJson(text, doc) || !doc.isObject())
-        return false;
-    if (doc.str("schema") != kRunReportSchema)
+    if (!loadRunReport(path, text, doc))
         return false;
 
     // Validate the simulation point against the job, not the
@@ -253,17 +233,22 @@ readCachedResult(const std::string &path, const Job &job,
         }
     }
 
-    if (const JsonValue *metrics = entry.find("metrics");
-        metrics && metrics->isObject()) {
-        const std::vector<MetricDef> &schema = metricSchema();
-        result.metrics.workload = result.id;
-        result.metrics.values.reserve(schema.size());
-        for (const MetricDef &def : schema) {
-            const JsonValue *value = metrics->find(def.name);
-            result.metrics.values.push_back(
-                value ? value->number(std::nan(""))
-                      : std::nan(""));
-        }
+    // Every metricSchema() key must be present: a missing object or
+    // key is a miss, never a short or NaN-padded vector. A null
+    // value is a real NaN (compute kernels have no RT or scene
+    // metrics).
+    const JsonValue *metrics = entry.find("metrics");
+    if (!metrics || !metrics->isObject())
+        return false;
+    const std::vector<MetricDef> &schema = metricSchema();
+    result.metrics.workload = result.id;
+    result.metrics.values.reserve(schema.size());
+    for (const MetricDef &def : schema) {
+        const JsonValue *value = metrics->find(def.name);
+        if (!value || (!value->isNumber() &&
+                       value->kind != JsonValue::Kind::Null))
+            return false;
+        result.metrics.values.push_back(value->number());
     }
 
     // Interval time series: the typed form is exact (counters are

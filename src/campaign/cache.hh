@@ -48,10 +48,10 @@ bool cacheable(const Job &job);
 /**
  * Load the cached result for @p job from @p path into @p out.
  * Returns false — a plain miss, never an error — when the file is
- * absent, unparseable, or was produced by a different simulation
- * point (validated against the report's config fingerprint, render
- * params and workload id, defending against hash collisions and
- * stale-format files).
+ * absent, unparseable, lacks a metricSchema() key, or was produced
+ * by a different simulation point (validated against the report's
+ * config fingerprint, render params and workload id, defending
+ * against hash collisions and stale-format files).
  */
 bool readCachedResult(const std::string &path, const Job &job,
                       WorkloadResult &out);

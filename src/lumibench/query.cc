@@ -1,12 +1,13 @@
 #include "lumibench/query.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 
 #include "lumibench/run_report.hh"
 #include "trace/interval.hh"
+#include "trace/json.hh"
 #include "trace/json_read.hh"
 
 namespace lumi
@@ -16,34 +17,6 @@ namespace query
 
 namespace
 {
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return false;
-    out.clear();
-    char buf[1 << 14];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        out.append(buf, got);
-    bool ok = !std::ferror(file);
-    std::fclose(file);
-    return ok;
-}
-
-/** Parse a report file into its DOM; false on any mismatch. */
-bool
-loadReport(const std::string &path, std::string &text,
-           JsonValue &doc)
-{
-    if (!readFile(path, text))
-        return false;
-    if (!parseJson(text, doc) || !doc.isObject())
-        return false;
-    return doc.str("schema") == kRunReportSchema;
-}
 
 bool
 sameNumber(const std::string &text, double value)
@@ -112,12 +85,30 @@ sceneOfWorkload(const std::string &workload)
     return workload.substr(0, underscore);
 }
 
-ReportIndex
-ReportIndex::scan(const std::string &dir)
+namespace
 {
-    ReportIndex index;
-    index.dir = dir;
 
+/**
+ * Visits one workload entry of a walked report: its id and its JSON
+ * object. Returns false to stop the walk.
+ */
+using EntryVisitor =
+    std::function<bool(const ReportRef &ref, const std::string &id,
+                       const JsonValue &entry)>;
+
+/**
+ * The one directory walk behind the index and every query: load each
+ * *.json report under @p dir once, in sorted file-name order, skip
+ * unreadable and foreign files, and hand each workload entry that
+ * matches @p filter to @p visit (none when @p visit is empty).
+ * Returns the ReportRef of every loaded report that matches
+ * @p filter at report level, up to the one where @p visit stopped
+ * the walk.
+ */
+std::vector<ReportRef>
+walkReports(const std::string &dir, const QueryFilter &filter,
+            const EntryVisitor &visit)
+{
     std::error_code ec;
     std::vector<std::string> files;
     for (const auto &entry :
@@ -134,15 +125,14 @@ ReportIndex::scan(const std::string &dir)
     // index (and therefore query) order is deterministic.
     std::sort(files.begin(), files.end());
 
+    std::vector<ReportRef> refs;
     for (const std::string &name : files) {
-        std::string path = dir + "/" + name;
         std::string text;
         JsonValue doc;
-        if (!loadReport(path, text, doc))
+        if (!loadRunReport(dir + "/" + name, text, doc))
             continue;
 
         ReportRef ref;
-        ref.path = path;
         ref.file = name;
         if (const JsonValue *config = doc.find("config")) {
             ref.configName = config->str("name");
@@ -157,14 +147,35 @@ ReportIndex::scan(const std::string &dir)
             if (const JsonValue *iv = opts->find("interval_stats"))
                 ref.intervalStats = iv->counter();
         }
-        if (const JsonValue *workloads = doc.find("workloads");
-            workloads && workloads->isArray()) {
+        const JsonValue *workloads = doc.find("workloads");
+        if (workloads && workloads->isArray()) {
             for (const JsonValue &entry : workloads->items)
                 ref.workloads.push_back(entry.str("id"));
         }
-        index.reports.push_back(std::move(ref));
+        if (!filter.matchesReport(ref))
+            continue;
+
+        // A non-empty ref.workloads means a well-formed array.
+        bool stop = false;
+        for (size_t i = 0;
+             visit && i < ref.workloads.size() && !stop; i++) {
+            if (filter.matches(ref, ref.workloads[i]))
+                stop = !visit(ref, ref.workloads[i],
+                              workloads->items[i]);
+        }
+        refs.push_back(std::move(ref));
+        if (stop)
+            break;
     }
-    return index;
+    return refs;
+}
+
+} // namespace
+
+ReportIndex
+ReportIndex::scan(const std::string &dir)
+{
+    return {dir, walkReports(dir, {}, nullptr)};
 }
 
 bool
@@ -248,194 +259,233 @@ QueryFilter::matches(const ReportRef &ref,
 }
 
 std::vector<BreakdownRow>
-queryBreakdown(const ReportIndex &index, const QueryFilter &filter)
+queryBreakdown(const std::string &dir, const QueryFilter &filter)
 {
     std::vector<BreakdownRow> rows;
-    for (const ReportRef &ref : index.reports) {
-        if (!filter.matchesReport(ref))
-            continue;
-        std::string text;
-        JsonValue doc;
-        if (!loadReport(ref.path, text, doc))
-            continue;
-        const JsonValue *workloads = doc.find("workloads");
-        if (!workloads || !workloads->isArray())
-            continue;
-        for (const JsonValue &entry : workloads->items) {
-            std::string id = entry.str("id");
-            if (!filter.matches(ref, id))
-                continue;
-            const JsonValue *stats = entry.find("stats");
-            if (!stats || !stats->isObject())
-                continue;
-            // Pre-profiler reports carry no profile.* keys; skip
-            // them rather than emit an all-zero row.
-            if (!stats->find("profile.sm.issued"))
-                continue;
-            BreakdownRow row;
-            row.file = ref.file;
-            row.workload = id;
-            if (const JsonValue *cycles =
-                    stats->find("gpu.cycles"))
-                row.cycles = cycles->counter();
-            for (int b = 0; b < numSmCycleBuckets; b++) {
-                std::string name =
-                    std::string("profile.sm.") +
-                    smCycleBucketName(
-                        static_cast<SmCycleBucket>(b));
-                if (const JsonValue *v = stats->find(name))
-                    row.sm.cycles[b] = v->counter();
-            }
-            for (int b = 0; b < numRtCycleBuckets; b++) {
-                std::string name =
-                    std::string("profile.rt.") +
-                    rtCycleBucketName(
-                        static_cast<RtCycleBucket>(b));
-                if (const JsonValue *v = stats->find(name))
-                    row.rt.cycles[b] = v->counter();
-            }
-            // Self-normalizing: conservation pins each sum to
-            // cycles x units, so the shares need no config lookup.
-            uint64_t sm_sum = row.sm.sum();
-            uint64_t rt_sum = row.rt.sum();
-            for (int b = 0; b < numSmCycleBuckets; b++) {
-                row.smShare[b] =
-                    sm_sum > 0 ? static_cast<double>(
-                                     row.sm.cycles[b]) /
-                                     static_cast<double>(sm_sum)
-                               : 0.0;
-            }
-            for (int b = 0; b < numRtCycleBuckets; b++) {
-                row.rtShare[b] =
-                    rt_sum > 0 ? static_cast<double>(
-                                     row.rt.cycles[b]) /
-                                     static_cast<double>(rt_sum)
-                               : 0.0;
-            }
-            rows.push_back(std::move(row));
+    walkReports(dir, filter, [&](const ReportRef &ref,
+                                 const std::string &id,
+                                 const JsonValue &entry) {
+        const JsonValue *stats = entry.find("stats");
+        // Pre-profiler reports carry no profile.* keys; skip them
+        // rather than emit an all-zero row.
+        if (!stats || !stats->isObject() ||
+            !stats->find("profile.sm.issued"))
+            return true;
+        BreakdownRow row;
+        row.file = ref.file;
+        row.workload = id;
+        if (const JsonValue *cycles = stats->find("gpu.cycles"))
+            row.cycles = cycles->counter();
+        for (int b = 0; b < numSmCycleBuckets; b++) {
+            std::string name =
+                std::string("profile.sm.") +
+                smCycleBucketName(static_cast<SmCycleBucket>(b));
+            if (const JsonValue *v = stats->find(name))
+                row.sm.cycles[b] = v->counter();
         }
-    }
+        for (int b = 0; b < numRtCycleBuckets; b++) {
+            std::string name =
+                std::string("profile.rt.") +
+                rtCycleBucketName(static_cast<RtCycleBucket>(b));
+            if (const JsonValue *v = stats->find(name))
+                row.rt.cycles[b] = v->counter();
+        }
+        // Self-normalizing: conservation pins each sum to
+        // cycles x units, so the shares need no config lookup.
+        uint64_t sm_sum = row.sm.sum();
+        uint64_t rt_sum = row.rt.sum();
+        for (int b = 0; b < numSmCycleBuckets; b++) {
+            row.smShare[b] =
+                sm_sum > 0 ? static_cast<double>(row.sm.cycles[b]) /
+                                 static_cast<double>(sm_sum)
+                           : 0.0;
+        }
+        for (int b = 0; b < numRtCycleBuckets; b++) {
+            row.rtShare[b] =
+                rt_sum > 0 ? static_cast<double>(row.rt.cycles[b]) /
+                                 static_cast<double>(rt_sum)
+                           : 0.0;
+        }
+        rows.push_back(std::move(row));
+        return true;
+    });
     return rows;
 }
 
 std::vector<StatRow>
-queryStat(const ReportIndex &index, const std::string &stat,
+queryStat(const std::string &dir, const std::string &stat,
           const QueryFilter &filter)
 {
     std::vector<StatRow> rows;
-    for (const ReportRef &ref : index.reports) {
-        if (!filter.matchesReport(ref))
-            continue;
-        std::string text;
-        JsonValue doc;
-        if (!loadReport(ref.path, text, doc))
-            continue;
-        const JsonValue *workloads = doc.find("workloads");
-        if (!workloads || !workloads->isArray())
-            continue;
-        for (const JsonValue &entry : workloads->items) {
-            std::string id = entry.str("id");
-            if (!filter.matches(ref, id))
-                continue;
-            const JsonValue *value = nullptr;
-            if (const JsonValue *stats = entry.find("stats"))
-                value = stats->find(stat);
-            if (!value) {
-                if (const JsonValue *metrics =
-                        entry.find("metrics"))
-                    value = metrics->find(stat);
-            }
-            if (!value || !value->isNumber())
-                continue;
-            StatRow row;
-            row.file = ref.file;
-            row.workload = id;
-            row.value = value->number();
-            row.token = value->token;
-            rows.push_back(std::move(row));
+    walkReports(dir, filter, [&](const ReportRef &ref,
+                                 const std::string &id,
+                                 const JsonValue &entry) {
+        const JsonValue *value = nullptr;
+        if (const JsonValue *stats = entry.find("stats"))
+            value = stats->find(stat);
+        if (!value) {
+            if (const JsonValue *metrics = entry.find("metrics"))
+                value = metrics->find(stat);
         }
-    }
+        if (value && value->isNumber())
+            rows.push_back(
+                {ref.file, id, value->number(), value->token});
+        return true;
+    });
     return rows;
 }
 
 std::vector<SeriesResult>
-querySeries(const ReportIndex &index, const std::string &stat,
+querySeries(const std::string &dir, const std::string &stat,
             const QueryFilter &filter)
 {
     std::vector<SeriesResult> results;
-    for (const ReportRef &ref : index.reports) {
-        if (!filter.matchesReport(ref))
-            continue;
-        std::string text;
-        JsonValue doc;
-        if (!loadReport(ref.path, text, doc))
-            continue;
-        const JsonValue *workloads = doc.find("workloads");
-        if (!workloads || !workloads->isArray())
-            continue;
-        for (const JsonValue &entry : workloads->items) {
-            std::string id = entry.str("id");
-            if (!filter.matches(ref, id))
-                continue;
-            const JsonValue *interval =
-                entry.find("interval_stats");
-            if (!interval || !interval->isObject())
-                continue;
-            IntervalSeries series;
-            if (!IntervalSeries::fromJson(*interval, series))
-                continue;
-            int s = series.seriesIndex(stat);
-            if (s < 0)
-                continue;
-            SeriesResult result;
-            result.file = ref.file;
-            result.workload = id;
-            result.interval = series.interval;
-            result.cycles = series.cycles;
-            result.values.reserve(series.sampleCount());
-            result.deltas.reserve(series.sampleCount());
-            for (size_t i = 0; i < series.sampleCount(); i++) {
-                result.values.push_back(
-                    series.at(static_cast<size_t>(s), i));
-                result.deltas.push_back(
-                    series.delta(static_cast<size_t>(s), i));
-            }
-            results.push_back(std::move(result));
+    walkReports(dir, filter, [&](const ReportRef &ref,
+                                 const std::string &id,
+                                 const JsonValue &entry) {
+        const JsonValue *interval = entry.find("interval_stats");
+        IntervalSeries series;
+        if (!interval || !interval->isObject() ||
+            !IntervalSeries::fromJson(*interval, series))
+            return true;
+        int s = series.seriesIndex(stat);
+        if (s < 0)
+            return true;
+        SeriesResult result;
+        result.file = ref.file;
+        result.workload = id;
+        result.interval = series.interval;
+        result.cycles = series.cycles;
+        result.values.reserve(series.sampleCount());
+        result.deltas.reserve(series.sampleCount());
+        for (size_t i = 0; i < series.sampleCount(); i++) {
+            result.values.push_back(
+                series.at(static_cast<size_t>(s), i));
+            result.deltas.push_back(
+                series.delta(static_cast<size_t>(s), i));
         }
-    }
+        results.push_back(std::move(result));
+        return true;
+    });
     return results;
 }
 
 std::vector<std::string>
-listStats(const ReportIndex &index, const QueryFilter &filter)
+listStats(const std::string &dir, const QueryFilter &filter)
 {
     std::vector<std::string> names;
-    for (const ReportRef &ref : index.reports) {
-        if (!filter.matchesReport(ref))
-            continue;
-        std::string text;
-        JsonValue doc;
-        if (!loadReport(ref.path, text, doc))
-            continue;
-        const JsonValue *workloads = doc.find("workloads");
-        if (!workloads || !workloads->isArray())
-            continue;
-        for (const JsonValue &entry : workloads->items) {
-            if (!filter.matches(ref, entry.str("id")))
-                continue;
-            if (const JsonValue *stats = entry.find("stats")) {
-                for (const auto &[name, value] : stats->members)
+    walkReports(dir, filter, [&](const ReportRef &,
+                                 const std::string &,
+                                 const JsonValue &entry) {
+        for (const char *group : {"stats", "metrics"}) {
+            if (const JsonValue *members = entry.find(group)) {
+                for (const auto &[name, value] : members->members)
                     names.push_back(name);
             }
-            if (const JsonValue *metrics =
-                    entry.find("metrics")) {
-                for (const auto &[name, value] : metrics->members)
-                    names.push_back(name);
-            }
-            return names; // first matching entry only
         }
-    }
+        return false; // first matching entry only
+    });
     return names;
+}
+
+std::string
+statRowsJson(const std::vector<StatRow> &rows)
+{
+    JsonWriter json;
+    json.beginArray();
+    for (const StatRow &row : rows) {
+        json.beginObject();
+        json.key("file");
+        json.value(row.file);
+        json.key("workload");
+        json.value(row.workload);
+        json.key("value");
+        // The raw source token keeps integer counters exact.
+        json.raw(row.token);
+        json.endObject();
+    }
+    json.endArray();
+    return json.str();
+}
+
+namespace
+{
+
+void
+writeCounters(JsonWriter &json, const std::vector<uint64_t> &values)
+{
+    json.beginArray();
+    for (uint64_t value : values)
+        json.value(value);
+    json.endArray();
+}
+
+/** One {"bucket": value, ...} object per side of the breakdown. */
+template <typename Bucket, int N, typename Value>
+void
+writeBuckets(JsonWriter &json, const char *(*name)(Bucket),
+             const Value (&values)[N])
+{
+    json.beginObject();
+    for (int b = 0; b < N; b++) {
+        json.key(name(static_cast<Bucket>(b)));
+        json.value(values[b]);
+    }
+    json.endObject();
+}
+
+} // namespace
+
+std::string
+seriesJson(const std::vector<SeriesResult> &results)
+{
+    JsonWriter json;
+    json.beginArray();
+    for (const SeriesResult &result : results) {
+        json.beginObject();
+        json.key("file");
+        json.value(result.file);
+        json.key("workload");
+        json.value(result.workload);
+        json.key("interval");
+        json.value(result.interval);
+        json.key("cycles");
+        writeCounters(json, result.cycles);
+        json.key("values");
+        writeCounters(json, result.values);
+        json.key("deltas");
+        writeCounters(json, result.deltas);
+        json.endObject();
+    }
+    json.endArray();
+    return json.str();
+}
+
+std::string
+breakdownJson(const std::vector<BreakdownRow> &rows)
+{
+    JsonWriter json;
+    json.beginArray();
+    for (const BreakdownRow &row : rows) {
+        json.beginObject();
+        json.key("file");
+        json.value(row.file);
+        json.key("workload");
+        json.value(row.workload);
+        json.key("cycles");
+        json.value(row.cycles);
+        json.key("sm");
+        writeBuckets(json, smCycleBucketName, row.sm.cycles);
+        json.key("rt");
+        writeBuckets(json, rtCycleBucketName, row.rt.cycles);
+        json.key("sm_share");
+        writeBuckets(json, smCycleBucketName, row.smShare);
+        json.key("rt_share");
+        writeBuckets(json, rtCycleBucketName, row.rtShare);
+        json.endObject();
+    }
+    json.endArray();
+    return json.str();
 }
 
 } // namespace query

@@ -7,19 +7,22 @@
  * self-contained run-report JSON files; figure benches write the
  * same schema under LUMI_REPORT_DIR. This module indexes such a
  * directory by config fingerprint, workload id and render knobs, and
- * answers two query shapes against it without re-simulating:
+ * answers three query shapes against it without re-simulating:
  *
  *  - scalar stat queries: the value of one stat/metric (e.g.
  *    "mem.mshr_full_stalls" or "ipc") per matching workload entry;
  *  - time-series queries: the per-interval cumulative and delta
  *    column of one counter from the interval_stats section
- *    (trace/interval.hh).
+ *    (trace/interval.hh);
+ *  - cycle breakdowns: the profile.* buckets of each entry.
  *
- * Filters are conjunctive key=value terms (workload/config/
- * fingerprint/width/height/spp/detail/interval). Scan order is the
- * sorted file name list, so query output is deterministic across
- * filesystems. `lumibench query` is the CLI front end and
- * lumibench/serve.hh exposes the same answers over HTTP.
+ * Filters are conjunctive key=value terms (workload/config/scene/
+ * fingerprint/width/height/spp/detail/interval). The index and every
+ * query share one walk over the directory: the sorted *.json file
+ * list (so output is deterministic across filesystems), each report
+ * loaded once through loadRunReport (lumibench/run_report.hh). Each
+ * answer has one JSON encoder here, so `lumibench query --json` and
+ * the matching lumibench/serve.hh route print the same document.
  */
 
 #ifndef LUMI_LUMIBENCH_QUERY_HH
@@ -40,8 +43,6 @@ namespace query
 /** Index entry for one run-report file. */
 struct ReportRef
 {
-    /** Full path to the report file. */
-    std::string path;
     /** File name only (stable handle for /report?file=...). */
     std::string file;
     std::string configName;
@@ -67,7 +68,8 @@ struct ReportIndex
      * Index every parseable lumibench-run-report-v1 *.json under
      * @p dir (non-recursive), in sorted file-name order. Unreadable
      * or foreign JSON files are skipped silently; a missing
-     * directory yields an empty index.
+     * directory yields an empty index. The queries below walk the
+     * directory themselves; an index is for listing it.
      */
     static ReportIndex scan(const std::string &dir);
 };
@@ -143,21 +145,26 @@ struct BreakdownRow
     double rtShare[numRtCycleBuckets] = {};
 };
 
+/*
+ * Each query walks the reports under @p dir once, in sorted
+ * file-name order (the ReportIndex::scan order), and reads only the
+ * workload entries matching @p filter.
+ */
+
 /**
  * The cycle breakdown of every workload entry matching @p filter.
  * Entries without profile.sm.* stats (pre-profiler reports) are
  * omitted.
  */
-std::vector<BreakdownRow> queryBreakdown(const ReportIndex &index,
+std::vector<BreakdownRow> queryBreakdown(const std::string &dir,
                                          const QueryFilter &filter);
 
 /**
  * Look up @p stat for every workload entry matching @p filter. The
  * name is resolved against the flat "stats" object first, then the
- * derived "metrics" object. Rows come back in index order; entries
- * without the stat are omitted.
+ * derived "metrics" object. Entries without the stat are omitted.
  */
-std::vector<StatRow> queryStat(const ReportIndex &index,
+std::vector<StatRow> queryStat(const std::string &dir,
                                const std::string &stat,
                                const QueryFilter &filter);
 
@@ -166,13 +173,28 @@ std::vector<StatRow> queryStat(const ReportIndex &index,
  * matching workload entry. Entries without an interval_stats
  * section or without the series are omitted.
  */
-std::vector<SeriesResult> querySeries(const ReportIndex &index,
+std::vector<SeriesResult> querySeries(const std::string &dir,
                                       const std::string &stat,
                                       const QueryFilter &filter);
 
-/** All stat names (stats + metrics) in the first matching entry. */
-std::vector<std::string> listStats(const ReportIndex &index,
+/**
+ * All stat names (stats + metrics) in the first matching entry; the
+ * walk stops there.
+ */
+std::vector<std::string> listStats(const std::string &dir,
                                    const QueryFilter &filter);
+
+/** [{"file","workload","value"}]; value is the exact source token. */
+std::string statRowsJson(const std::vector<StatRow> &rows);
+
+/** [{"file","workload","interval","cycles","values","deltas"}]. */
+std::string seriesJson(const std::vector<SeriesResult> &results);
+
+/**
+ * [{"file","workload","cycles","sm","rt","sm_share","rt_share"}]:
+ * the raw bucket counters, then their shares.
+ */
+std::string breakdownJson(const std::vector<BreakdownRow> &rows);
 
 } // namespace query
 } // namespace lumi

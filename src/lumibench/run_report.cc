@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "trace/json.hh"
+#include "trace/json_read.hh"
 
 namespace lumi
 {
@@ -289,6 +290,30 @@ writeRunReport(const std::string &path,
     if (std::fclose(file) != 0)
         ok = false;
     return ok;
+}
+
+bool
+readWholeFile(const std::string &path, std::string &text)
+{
+    FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        return false;
+    text.clear();
+    char buf[1 << 14];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        text.append(buf, got);
+    bool ok = !std::ferror(file);
+    std::fclose(file);
+    return ok;
+}
+
+bool
+loadRunReport(const std::string &path, std::string &text,
+              JsonValue &doc)
+{
+    return readWholeFile(path, text) && parseJson(text, doc) &&
+           doc.isObject() && doc.str("schema") == kRunReportSchema;
 }
 
 } // namespace lumi

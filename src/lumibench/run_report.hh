@@ -9,6 +9,10 @@
  * configurations: render parameters and a fingerprint of the
  * simulated hardware config. External tooling consumes these instead
  * of scraping the text tables.
+ *
+ * The format lives here on both sides: the writer below, and
+ * loadRunReport(), the one reader the result cache and the query
+ * layer share.
  */
 
 #ifndef LUMI_LUMIBENCH_RUN_REPORT_HH
@@ -21,6 +25,8 @@
 
 namespace lumi
 {
+
+struct JsonValue;
 
 /** Schema tag written into (and required of) every report file. */
 inline constexpr const char *kRunReportSchema =
@@ -50,6 +56,18 @@ std::string runReportJson(const std::vector<WorkloadResult> &results,
 bool writeRunReport(const std::string &path,
                     const std::vector<WorkloadResult> &results,
                     const RunOptions &options);
+
+/** Read the whole file at @p path into @p text; false on I/O failure. */
+bool readWholeFile(const std::string &path, std::string &text);
+
+/**
+ * Load the run report at @p path: read it into @p text, parse it
+ * into @p doc (whose byte ranges index @p text) and check its schema
+ * tag. False when the file is unreadable, not a JSON object, or not
+ * a kRunReportSchema report.
+ */
+bool loadRunReport(const std::string &path, std::string &text,
+                   JsonValue &doc);
 
 } // namespace lumi
 

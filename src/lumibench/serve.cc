@@ -119,21 +119,6 @@ errorResponse(int status, const std::string &message)
     return {status, "application/json", json.str()};
 }
 
-bool
-readFileVerbatim(const std::string &path, std::string &out)
-{
-    FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return false;
-    char buf[1 << 14];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        out.append(buf, got);
-    bool ok = !std::ferror(file);
-    std::fclose(file);
-    return ok;
-}
-
 void
 writeIndexJson(JsonWriter &json, const ReportIndex &index)
 {
@@ -302,138 +287,33 @@ ReportServer::handle(const std::string &target) const
         QueryFilter filter;
         if (!buildFilter(params, filter))
             return errorResponse(400, "unknown filter key");
-        ReportIndex index = ReportIndex::scan(dir_);
-        std::vector<std::string> names =
-            listStats(index, filter);
         JsonWriter json;
         json.beginArray();
-        for (const std::string &name : names)
+        for (const std::string &name : listStats(dir_, filter))
             json.value(name);
         json.endArray();
         return {200, "application/json", json.str()};
     }
 
-    if (path == "/stat") {
+    if (path == "/stat" || path == "/series") {
         std::string name = paramValue(params, "name");
         if (name.empty())
             return errorResponse(400, "missing name parameter");
         QueryFilter filter;
         if (!buildFilter(params, filter))
             return errorResponse(400, "unknown filter key");
-        ReportIndex index = ReportIndex::scan(dir_);
-        std::vector<StatRow> rows =
-            queryStat(index, name, filter);
-        JsonWriter json;
-        json.beginArray();
-        for (const StatRow &row : rows) {
-            json.beginObject();
-            json.key("file");
-            json.value(row.file);
-            json.key("workload");
-            json.value(row.workload);
-            json.key("value");
-            // The raw source token keeps integer counters exact.
-            json.raw(row.token);
-            json.endObject();
-        }
-        json.endArray();
-        return {200, "application/json", json.str()};
-    }
-
-    if (path == "/series") {
-        std::string name = paramValue(params, "name");
-        if (name.empty())
-            return errorResponse(400, "missing name parameter");
-        QueryFilter filter;
-        if (!buildFilter(params, filter))
-            return errorResponse(400, "unknown filter key");
-        ReportIndex index = ReportIndex::scan(dir_);
-        std::vector<SeriesResult> results =
-            querySeries(index, name, filter);
-        JsonWriter json;
-        json.beginArray();
-        for (const SeriesResult &result : results) {
-            json.beginObject();
-            json.key("file");
-            json.value(result.file);
-            json.key("workload");
-            json.value(result.workload);
-            json.key("interval");
-            json.value(result.interval);
-            json.key("cycles");
-            json.beginArray();
-            for (uint64_t cycle : result.cycles)
-                json.value(cycle);
-            json.endArray();
-            json.key("values");
-            json.beginArray();
-            for (uint64_t value : result.values)
-                json.value(value);
-            json.endArray();
-            json.key("deltas");
-            json.beginArray();
-            for (uint64_t delta : result.deltas)
-                json.value(delta);
-            json.endArray();
-            json.endObject();
-        }
-        json.endArray();
-        return {200, "application/json", json.str()};
+        return {200, "application/json",
+                path == "/stat"
+                    ? statRowsJson(queryStat(dir_, name, filter))
+                    : seriesJson(querySeries(dir_, name, filter))};
     }
 
     if (path == "/breakdown") {
         QueryFilter filter;
         if (!buildFilter(params, filter))
             return errorResponse(400, "unknown filter key");
-        ReportIndex index = ReportIndex::scan(dir_);
-        std::vector<BreakdownRow> rows =
-            queryBreakdown(index, filter);
-        JsonWriter json;
-        json.beginArray();
-        for (const BreakdownRow &row : rows) {
-            json.beginObject();
-            json.key("file");
-            json.value(row.file);
-            json.key("workload");
-            json.value(row.workload);
-            json.key("cycles");
-            json.value(row.cycles);
-            json.key("sm");
-            json.beginObject();
-            for (int b = 0; b < numSmCycleBuckets; b++) {
-                json.key(smCycleBucketName(
-                    static_cast<SmCycleBucket>(b)));
-                json.value(row.sm.cycles[b]);
-            }
-            json.endObject();
-            json.key("rt");
-            json.beginObject();
-            for (int b = 0; b < numRtCycleBuckets; b++) {
-                json.key(rtCycleBucketName(
-                    static_cast<RtCycleBucket>(b)));
-                json.value(row.rt.cycles[b]);
-            }
-            json.endObject();
-            json.key("sm_share");
-            json.beginObject();
-            for (int b = 0; b < numSmCycleBuckets; b++) {
-                json.key(smCycleBucketName(
-                    static_cast<SmCycleBucket>(b)));
-                json.value(row.smShare[b]);
-            }
-            json.endObject();
-            json.key("rt_share");
-            json.beginObject();
-            for (int b = 0; b < numRtCycleBuckets; b++) {
-                json.key(rtCycleBucketName(
-                    static_cast<RtCycleBucket>(b)));
-                json.value(row.rtShare[b]);
-            }
-            json.endObject();
-            json.endObject();
-        }
-        json.endArray();
-        return {200, "application/json", json.str()};
+        return {200, "application/json",
+                breakdownJson(queryBreakdown(dir_, filter))};
     }
 
     if (path == "/view")
@@ -448,7 +328,7 @@ ReportServer::handle(const std::string &target) const
             file.find("..") != std::string::npos)
             return errorResponse(400, "bad file parameter");
         std::string body;
-        if (!readFileVerbatim(dir_ + "/" + file, body))
+        if (!readWholeFile(dir_ + "/" + file, body))
             return errorResponse(404, "no such report");
         return {200, "application/json", std::move(body)};
     }

@@ -5,12 +5,14 @@
  * spirit of Daisen/Vis4Mesh trace servers.
  *
  * The server answers GET requests with JSON produced by the query
- * layer; it holds no state beyond the directory path, and every
- * request re-scans the directory so a still-running campaign is
- * visible live. Routing is factored into handle(), a pure function
- * of the request target, so tests exercise every route without
- * opening sockets; bind()/serve() add a deliberately small
- * HTTP/1.0-style loop on top (one request per connection, GET only).
+ * layer's encoders, so a /stat, /series or /breakdown body is the
+ * document `lumibench query --json` prints. It holds no state beyond
+ * the directory path: each request reads each report once, so a
+ * still-running campaign is visible live. Routing is factored into
+ * handle(), a pure function of the request target, so tests exercise
+ * every route without opening sockets; bind()/serve() add a
+ * deliberately small HTTP/1.0-style loop on top (one request per
+ * connection, GET only).
  *
  * Routes:
  *   /healthz                     {"status":"ok","reports":N}

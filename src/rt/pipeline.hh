@@ -63,13 +63,6 @@ class RayTracingPipeline
         return framebuffer_;
     }
 
-    /** Write the framebuffer as a binary PPM; returns success. */
-    bool writePpm(const std::string &path) const
-    {
-        return lumi::writePpm(path, framebuffer_, params_.width,
-                              params_.height);
-    }
-
   private:
     void pathTracingWarp(WarpContext &ctx);
     void shadowWarp(WarpContext &ctx);

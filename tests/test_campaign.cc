@@ -22,6 +22,7 @@
 #include "campaign/cache.hh"
 #include "campaign/campaign.hh"
 #include "campaign/telemetry.hh"
+#include "lumibench/run_report.hh"
 #include "lumibench/runner.hh"
 #include "lumibench/workload.hh"
 #include "trace/stat_registry.hh"
@@ -153,6 +154,19 @@ TEST(Campaign, CacheHitSkipsSimulation)
         EXPECT_EQ(warm.outcomes[i].result.dram.accesses,
                   cold.outcomes[i].result.dram.accesses);
     }
+
+    // An entry that lost one metricSchema() key is a miss, not a hit
+    // with a NaN in that slot.
+    std::string entry = cache_dir + "/" + cacheKey(jobs[0]);
+    std::string text;
+    ASSERT_TRUE(readWholeFile(entry, text));
+    std::string key = "\"" + metricSchema()[1].name + "\":";
+    size_t at = text.find(key, text.find("\"metrics\":{"));
+    ASSERT_NE(at, std::string::npos);
+    text.erase(at, text.find(',', at) + 1 - at);
+    std::ofstream(entry, std::ios::binary) << text;
+    WorkloadResult dropped;
+    EXPECT_FALSE(readCachedResult(entry, jobs[0], dropped));
 
     // The aggregates surface through the stat registry.
     StatRegistry registry;

@@ -208,10 +208,9 @@ TEST(Query, BreakdownRowsAreConservedShares)
     WorkloadResult bunny;
     RunOptions options;
     writeSampleReports(dir, bunny, options);
-    query::ReportIndex index = query::ReportIndex::scan(dir);
 
     std::vector<query::BreakdownRow> rows =
-        query::queryBreakdown(index, {});
+        query::queryBreakdown(dir, {});
     ASSERT_EQ(rows.size(), 2u);
     // Sorted file-name order: a_ref.json before b_bunny.json.
     EXPECT_EQ(rows[0].workload, "REF_SH");
@@ -241,11 +240,11 @@ TEST(Query, BreakdownRowsAreConservedShares)
     // Filters narrow by workload glob and by scene.
     query::QueryFilter bunny_only;
     ASSERT_TRUE(bunny_only.add("workload=BUNNY*"));
-    EXPECT_EQ(query::queryBreakdown(index, bunny_only).size(), 1u);
+    EXPECT_EQ(query::queryBreakdown(dir, bunny_only).size(), 1u);
     query::QueryFilter ref_scene;
     ASSERT_TRUE(ref_scene.add("scene=REF"));
     std::vector<query::BreakdownRow> ref_rows =
-        query::queryBreakdown(index, ref_scene);
+        query::queryBreakdown(dir, ref_scene);
     ASSERT_EQ(ref_rows.size(), 1u);
     EXPECT_EQ(ref_rows[0].workload, "REF_SH");
     std::filesystem::remove_all(dir);
@@ -271,7 +270,7 @@ TEST(Query, IndexAndStatLookup)
     query::QueryFilter filter;
     ASSERT_TRUE(filter.add("workload=BUNNY_AO"));
     std::vector<query::StatRow> rows =
-        query::queryStat(index, "gpu.cycles", filter);
+        query::queryStat(dir, "gpu.cycles", filter);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].workload, "BUNNY_AO");
     // Integer counters come back with the exact source token.
@@ -280,31 +279,31 @@ TEST(Query, IndexAndStatLookup)
 
     // Derived metrics resolve through the metrics object.
     std::vector<query::StatRow> metric_rows =
-        query::queryStat(index, "ipc_thread", filter);
+        query::queryStat(dir, "ipc_thread", filter);
     ASSERT_EQ(metric_rows.size(), 1u);
     EXPECT_GT(metric_rows[0].value, 0.0);
 
     // An unfiltered query sees both reports.
-    EXPECT_EQ(query::queryStat(index, "gpu.cycles", {}).size(),
+    EXPECT_EQ(query::queryStat(dir, "gpu.cycles", {}).size(),
               2u);
 
     // Glob filters select workload families over real reports.
     query::QueryFilter glob;
     ASSERT_TRUE(glob.add("workload=*_AO"));
     std::vector<query::StatRow> glob_rows =
-        query::queryStat(index, "gpu.cycles", glob);
+        query::queryStat(dir, "gpu.cycles", glob);
     ASSERT_EQ(glob_rows.size(), 1u);
     EXPECT_EQ(glob_rows[0].workload, "BUNNY_AO");
     query::QueryFilter bare;
     ASSERT_TRUE(bare.add("workload=BUNNY"));
     EXPECT_TRUE(
-        query::queryStat(index, "gpu.cycles", bare).empty());
+        query::queryStat(dir, "gpu.cycles", bare).empty());
     EXPECT_TRUE(
-        query::queryStat(index, "no.such.stat", {}).empty());
+        query::queryStat(dir, "no.such.stat", {}).empty());
 
     // listStats covers both namespaces.
     std::vector<std::string> names =
-        query::listStats(index, filter);
+        query::listStats(dir, filter);
     EXPECT_NE(std::find(names.begin(), names.end(), "gpu.cycles"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "ipc_thread"),
@@ -319,11 +318,10 @@ TEST(Query, SeriesDeltasSumToFinalValue)
     RunOptions options;
     writeSampleReports(dir, bunny, options);
 
-    query::ReportIndex index = query::ReportIndex::scan(dir);
     query::QueryFilter filter;
     ASSERT_TRUE(filter.add("workload=BUNNY_AO"));
     std::vector<query::SeriesResult> results =
-        query::querySeries(index, "rt.rays_traced", filter);
+        query::querySeries(dir, "rt.rays_traced", filter);
     ASSERT_EQ(results.size(), 1u);
     const query::SeriesResult &series = results[0];
     EXPECT_EQ(series.interval, 500u);
@@ -339,7 +337,7 @@ TEST(Query, SeriesDeltasSumToFinalValue)
     EXPECT_EQ(series.cycles.back(), bunny.stats.cycles);
 
     EXPECT_TRUE(
-        query::querySeries(index, "no.such.stat", filter).empty());
+        query::querySeries(dir, "no.such.stat", filter).empty());
     std::filesystem::remove_all(dir);
 }
 

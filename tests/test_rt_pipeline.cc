@@ -182,7 +182,9 @@ TEST(Pipeline, WritePpm)
     RayTracingPipeline pipeline(gpu, scene, tinyParams());
     pipeline.render(ShaderKind::Shadow);
     std::string path = ::testing::TempDir() + "/lumi_test.ppm";
-    ASSERT_TRUE(pipeline.writePpm(path));
+    ASSERT_TRUE(writePpm(path, pipeline.framebuffer(),
+                         pipeline.params().width,
+                         pipeline.params().height));
     FILE *file = std::fopen(path.c_str(), "rb");
     ASSERT_NE(file, nullptr);
     char magic[3] = {};

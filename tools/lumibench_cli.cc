@@ -139,6 +139,23 @@ parseWorkload(const std::string &id, bool &ok)
     return {SceneId::BUNNY, ShaderKind::AmbientOcclusion};
 }
 
+/** The GpuConfig preset named @p name; exits 2 on an unknown name. */
+GpuConfig
+parseConfig(const std::string &name)
+{
+    for (const GpuConfig &config :
+         {GpuConfig::mobile(), GpuConfig::desktop(),
+          GpuConfig::alternate(), GpuConfig::table4()}) {
+        if (config.name == name)
+            return config;
+    }
+    std::fprintf(stderr,
+                 "unknown config '%s' (mobile, desktop, alternate, "
+                 "table4)\n",
+                 name.c_str());
+    std::exit(2);
+}
+
 int
 cmdList()
 {
@@ -209,15 +226,7 @@ cmdRun(const std::vector<std::string> &args)
             }
             workloads.push_back(w);
         } else if (arg == "--config") {
-            std::string name = next("--config");
-            if (name == "desktop")
-                options.config = GpuConfig::desktop();
-            else if (name == "alternate")
-                options.config = GpuConfig::alternate();
-            else if (name == "table4")
-                options.config = GpuConfig::table4();
-            else
-                options.config = GpuConfig::mobile();
+            options.config = parseConfig(next("--config"));
         } else if (arg == "--csv") {
             csv_path = next("--csv");
         } else if (arg == "--ppm-dir") {
@@ -461,21 +470,7 @@ cmdCampaign(const std::vector<std::string> &args)
     std::vector<std::string> job_configs;
     for (const std::string &name : configs) {
         RunOptions options = base;
-        if (name == "desktop")
-            options.config = GpuConfig::desktop();
-        else if (name == "alternate")
-            options.config = GpuConfig::alternate();
-        else if (name == "table4")
-            options.config = GpuConfig::table4();
-        else if (name == "mobile")
-            options.config = GpuConfig::mobile();
-        else {
-            std::fprintf(stderr,
-                         "unknown config '%s' (mobile, desktop, "
-                         "alternate, table4)\n",
-                         name.c_str());
-            return 2;
-        }
+        options.config = parseConfig(name);
         for (const Workload &w : workloads) {
             jobs.push_back(campaign::Job::rayTracing(w, options));
             job_configs.push_back(name);
@@ -670,22 +665,20 @@ cmdQuery(const std::vector<std::string> &args)
                              "LUMI_CACHE_DIR)\n");
         return 2;
     }
-    query::ReportIndex index = query::ReportIndex::scan(dir);
-    if (index.empty()) {
+    if (query::ReportIndex::scan(dir).empty()) {
         std::fprintf(stderr, "no run reports under %s\n",
                      dir.c_str());
         return 1;
     }
 
     if (list_stats) {
-        for (const std::string &name :
-             query::listStats(index, filter))
+        for (const std::string &name : query::listStats(dir, filter))
             std::printf("%s\n", name.c_str());
         return 0;
     }
     if (breakdown) {
         std::vector<query::BreakdownRow> rows =
-            query::queryBreakdown(index, filter);
+            query::queryBreakdown(dir, filter);
         if (rows.empty()) {
             std::fprintf(stderr,
                          "no profile.* buckets matched (reports "
@@ -699,36 +692,7 @@ cmdQuery(const std::vector<std::string> &args)
             return std::string(buf);
         };
         if (as_json) {
-            JsonWriter json;
-            json.beginArray();
-            for (const query::BreakdownRow &row : rows) {
-                json.beginObject();
-                json.key("file");
-                json.value(row.file);
-                json.key("workload");
-                json.value(row.workload);
-                json.key("cycles");
-                json.value(row.cycles);
-                json.key("sm_share");
-                json.beginObject();
-                for (int b = 0; b < numSmCycleBuckets; b++) {
-                    json.key(smCycleBucketName(
-                        static_cast<SmCycleBucket>(b)));
-                    json.value(row.smShare[b]);
-                }
-                json.endObject();
-                json.key("rt_share");
-                json.beginObject();
-                for (int b = 0; b < numRtCycleBuckets; b++) {
-                    json.key(rtCycleBucketName(
-                        static_cast<RtCycleBucket>(b)));
-                    json.value(row.rtShare[b]);
-                }
-                json.endObject();
-                json.endObject();
-            }
-            json.endArray();
-            std::printf("%s\n", json.str().c_str());
+            std::printf("%s\n", query::breakdownJson(rows).c_str());
             return 0;
         }
         // Two stacked-percentage tables: issue slots, then RT-unit
@@ -769,7 +733,7 @@ cmdQuery(const std::vector<std::string> &args)
 
     if (series) {
         std::vector<query::SeriesResult> results =
-            query::querySeries(index, stat, filter);
+            query::querySeries(dir, stat, filter);
         if (results.empty()) {
             std::fprintf(stderr,
                          "no interval series for '%s' (was the run "
@@ -778,35 +742,7 @@ cmdQuery(const std::vector<std::string> &args)
             return 1;
         }
         if (as_json) {
-            JsonWriter json;
-            json.beginArray();
-            for (const query::SeriesResult &result : results) {
-                json.beginObject();
-                json.key("file");
-                json.value(result.file);
-                json.key("workload");
-                json.value(result.workload);
-                json.key("interval");
-                json.value(result.interval);
-                json.key("cycles");
-                json.beginArray();
-                for (uint64_t cycle : result.cycles)
-                    json.value(cycle);
-                json.endArray();
-                json.key("values");
-                json.beginArray();
-                for (uint64_t value : result.values)
-                    json.value(value);
-                json.endArray();
-                json.key("deltas");
-                json.beginArray();
-                for (uint64_t delta : result.deltas)
-                    json.value(delta);
-                json.endArray();
-                json.endObject();
-            }
-            json.endArray();
-            std::printf("%s\n", json.str().c_str());
+            std::printf("%s\n", query::seriesJson(results).c_str());
             return 0;
         }
         for (const query::SeriesResult &result : results) {
@@ -833,26 +769,13 @@ cmdQuery(const std::vector<std::string> &args)
     }
 
     std::vector<query::StatRow> rows =
-        query::queryStat(index, stat, filter);
+        query::queryStat(dir, stat, filter);
     if (rows.empty()) {
         std::fprintf(stderr, "no values for '%s'\n", stat.c_str());
         return 1;
     }
     if (as_json) {
-        JsonWriter json;
-        json.beginArray();
-        for (const query::StatRow &row : rows) {
-            json.beginObject();
-            json.key("file");
-            json.value(row.file);
-            json.key("workload");
-            json.value(row.workload);
-            json.key("value");
-            json.raw(row.token);
-            json.endObject();
-        }
-        json.endArray();
-        std::printf("%s\n", json.str().c_str());
+        std::printf("%s\n", query::statRowsJson(rows).c_str());
         return 0;
     }
     TextTable table({"workload", stat, "file"});
