@@ -1,9 +1,7 @@
 #include "lumibench/query.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 
 #include "lumibench/run_report.hh"
 #include "trace/interval.hh"
@@ -88,94 +86,183 @@ sceneOfWorkload(const std::string &workload)
 namespace
 {
 
-/**
- * Visits one workload entry of a walked report: its id and its JSON
- * object. Returns false to stop the walk.
- */
-using EntryVisitor =
-    std::function<bool(const ReportRef &ref, const std::string &id,
-                       const JsonValue &entry)>;
-
-/**
- * The one directory walk behind the index and every query: load each
- * *.json report under @p dir once, in sorted file-name order, skip
- * unreadable and foreign files, and hand each workload entry that
- * matches @p filter to @p visit (none when @p visit is empty).
- * Returns the ReportRef of every loaded report that matches
- * @p filter at report level, up to the one where @p visit stopped
- * the walk.
- */
-std::vector<ReportRef>
-walkReports(const std::string &dir, const QueryFilter &filter,
-            const EntryVisitor &visit)
+bool
+isJsonName(const std::string &name)
 {
-    std::error_code ec;
-    std::vector<std::string> files;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (!entry.is_regular_file())
-            continue;
-        std::string name = entry.path().filename().string();
-        if (name.size() < 5 ||
-            name.compare(name.size() - 5, 5, ".json") != 0)
-            continue;
-        files.push_back(name);
-    }
-    // Directory iteration order is filesystem-dependent; sort so
-    // index (and therefore query) order is deterministic.
-    std::sort(files.begin(), files.end());
-
-    std::vector<ReportRef> refs;
-    for (const std::string &name : files) {
-        std::string text;
-        JsonValue doc;
-        if (!loadRunReport(dir + "/" + name, text, doc))
-            continue;
-
-        ReportRef ref;
-        ref.file = name;
-        if (const JsonValue *config = doc.find("config")) {
-            ref.configName = config->str("name");
-            ref.fingerprint = config->str("fingerprint");
-        }
-        if (const JsonValue *opts = doc.find("options")) {
-            ref.width = static_cast<int>(opts->num("width"));
-            ref.height = static_cast<int>(opts->num("height"));
-            ref.samplesPerPixel = static_cast<int>(
-                opts->num("samples_per_pixel"));
-            ref.sceneDetail = opts->num("scene_detail");
-            if (const JsonValue *iv = opts->find("interval_stats"))
-                ref.intervalStats = iv->counter();
-        }
-        const JsonValue *workloads = doc.find("workloads");
-        if (workloads && workloads->isArray()) {
-            for (const JsonValue &entry : workloads->items)
-                ref.workloads.push_back(entry.str("id"));
-        }
-        if (!filter.matchesReport(ref))
-            continue;
-
-        // A non-empty ref.workloads means a well-formed array.
-        bool stop = false;
-        for (size_t i = 0;
-             visit && i < ref.workloads.size() && !stop; i++) {
-            if (filter.matches(ref, ref.workloads[i]))
-                stop = !visit(ref, ref.workloads[i],
-                              workloads->items[i]);
-        }
-        refs.push_back(std::move(ref));
-        if (stop)
-            break;
-    }
-    return refs;
+    return name.size() >= 5 &&
+           name.compare(name.size() - 5, 5, ".json") == 0;
 }
 
 } // namespace
 
+/**
+ * One matching workload entry during a walk: each member is parsed
+ * from its byte range on first use, and lives until the visit ends.
+ */
+class ReportStore::Entry
+{
+  public:
+    Entry(const std::string &text, const Spans &spans)
+        : text_(text), spans_(spans)
+    {
+    }
+
+    /** The parsed member, or null when the entry has none. */
+    const JsonValue *
+    member(Member m)
+    {
+        const Span &span = spans_[m];
+        if (span.end <= span.begin)
+            return nullptr;
+        if (!tried_[m]) {
+            tried_[m] = true;
+            parsed_[m] = parseJson(
+                text_.substr(span.begin, span.end - span.begin),
+                values_[m]);
+        }
+        return parsed_[m] ? &values_[m] : nullptr;
+    }
+
+  private:
+    const std::string &text_;
+    const Spans &spans_;
+    JsonValue values_[NumMembers];
+    bool tried_[NumMembers] = {};
+    bool parsed_[NumMembers] = {};
+};
+
+void
+ReportStore::indexText(Indexed &file, const std::string &name,
+                       const FileStamp &stamp, const std::string &text)
+{
+    file = Indexed{};
+    file.stamp = stamp;
+    JsonValue doc;
+    if (!parseRunReport(text, doc))
+        return;
+    file.report = true;
+    ReportRef &ref = file.ref;
+    ref.file = name;
+    if (const JsonValue *config = doc.find("config")) {
+        ref.configName = config->str("name");
+        ref.fingerprint = config->str("fingerprint");
+    }
+    if (const JsonValue *opts = doc.find("options")) {
+        ref.width = static_cast<int>(opts->num("width"));
+        ref.height = static_cast<int>(opts->num("height"));
+        ref.samplesPerPixel =
+            static_cast<int>(opts->num("samples_per_pixel"));
+        ref.sceneDetail = opts->num("scene_detail");
+        if (const JsonValue *iv = opts->find("interval_stats"))
+            ref.intervalStats = iv->counter();
+    }
+    const JsonValue *workloads = doc.find("workloads");
+    if (!workloads || !workloads->isArray())
+        return;
+    static const char *const names[NumMembers] = {
+        "stats", "metrics", "interval_stats"};
+    for (const JsonValue &entry : workloads->items) {
+        ref.workloads.push_back(entry.str("id"));
+        Spans &spans = file.entries.emplace_back();
+        for (int m = 0; m < NumMembers; m++) {
+            if (const JsonValue *member = entry.find(names[m]))
+                spans[m] = {member->begin, member->end};
+        }
+    }
+}
+
+void
+ReportStore::refresh()
+{
+    std::error_code ec;
+    std::map<std::string, Indexed> listed;
+    std::string text;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir_, ec)) {
+        std::string name = entry.path().filename().string();
+        FileStamp stamp;
+        if (!isJsonName(name) || !statFile(dir_ + "/" + name, stamp))
+            continue;
+        auto known = files_.find(name);
+        if (known != files_.end() && known->second.stamp == stamp) {
+            listed.insert(files_.extract(known));
+            continue;
+        }
+        // An unreadable file is skipped, not remembered: a chmod
+        // does not change its stamp.
+        if (readWholeFile(dir_ + "/" + name, text, &stamp))
+            indexText(listed[name], name, stamp, text);
+    }
+    files_ = std::move(listed);
+}
+
+void
+ReportStore::walk(const QueryFilter &filter, const EntryVisitor &visit)
+{
+    refresh();
+    auto matching = [&](const Indexed &file) {
+        std::vector<size_t> hits;
+        if (!file.report || !filter.matchesReport(file.ref))
+            return hits;
+        for (size_t i = 0; i < file.entries.size(); i++) {
+            if (filter.matches(file.ref, file.ref.workloads[i]))
+                hits.push_back(i);
+        }
+        return hits;
+    };
+    std::string text;
+    for (auto &[name, file] : files_) {
+        std::vector<size_t> hits = matching(file);
+        if (hits.empty())
+            continue;
+        // Re-read the report for the entries' bytes; if it changed
+        // since refresh(), index those bytes instead.
+        FileStamp stamp;
+        if (!readWholeFile(dir_ + "/" + name, text, &stamp))
+            continue;
+        if (stamp != file.stamp) {
+            indexText(file, name, stamp, text);
+            hits = matching(file);
+        }
+        for (size_t i : hits) {
+            Entry entry(text, file.entries[i]);
+            if (!visit(file.ref, file.ref.workloads[i], entry))
+                return;
+        }
+    }
+}
+
+ReportIndex
+ReportStore::index()
+{
+    refresh();
+    ReportIndex index{dir_, {}};
+    for (const auto &[name, file] : files_) {
+        if (file.report)
+            index.reports.push_back(file.ref);
+    }
+    return index;
+}
+
+bool
+ReportStore::readReport(const std::string &file, std::string &text)
+{
+    FileStamp stamp;
+    if (!isJsonName(file) ||
+        !readWholeFile(dir_ + "/" + file, text, &stamp)) {
+        files_.erase(file);
+        return false;
+    }
+    auto [known, fresh] = files_.try_emplace(file);
+    if (fresh || known->second.stamp != stamp)
+        indexText(known->second, file, stamp, text);
+    return known->second.report;
+}
+
 ReportIndex
 ReportIndex::scan(const std::string &dir)
 {
-    return {dir, walkReports(dir, {}, nullptr)};
+    return ReportStore(dir).index();
 }
 
 bool
@@ -259,13 +346,12 @@ QueryFilter::matches(const ReportRef &ref,
 }
 
 std::vector<BreakdownRow>
-queryBreakdown(const std::string &dir, const QueryFilter &filter)
+ReportStore::breakdown(const QueryFilter &filter)
 {
     std::vector<BreakdownRow> rows;
-    walkReports(dir, filter, [&](const ReportRef &ref,
-                                 const std::string &id,
-                                 const JsonValue &entry) {
-        const JsonValue *stats = entry.find("stats");
+    walk(filter, [&](const ReportRef &ref, const std::string &id,
+                     Entry &entry) {
+        const JsonValue *stats = entry.member(Stats);
         // Pre-profiler reports carry no profile.* keys; skip them
         // rather than emit an all-zero row.
         if (!stats || !stats->isObject() ||
@@ -313,19 +399,17 @@ queryBreakdown(const std::string &dir, const QueryFilter &filter)
 }
 
 std::vector<StatRow>
-queryStat(const std::string &dir, const std::string &stat,
-          const QueryFilter &filter)
+ReportStore::stat(const std::string &name, const QueryFilter &filter)
 {
     std::vector<StatRow> rows;
-    walkReports(dir, filter, [&](const ReportRef &ref,
-                                 const std::string &id,
-                                 const JsonValue &entry) {
+    walk(filter, [&](const ReportRef &ref, const std::string &id,
+                     Entry &entry) {
         const JsonValue *value = nullptr;
-        if (const JsonValue *stats = entry.find("stats"))
-            value = stats->find(stat);
+        if (const JsonValue *stats = entry.member(Stats))
+            value = stats->find(name);
         if (!value) {
-            if (const JsonValue *metrics = entry.find("metrics"))
-                value = metrics->find(stat);
+            if (const JsonValue *metrics = entry.member(Metrics))
+                value = metrics->find(name);
         }
         if (value && value->isNumber())
             rows.push_back(
@@ -336,19 +420,17 @@ queryStat(const std::string &dir, const std::string &stat,
 }
 
 std::vector<SeriesResult>
-querySeries(const std::string &dir, const std::string &stat,
-            const QueryFilter &filter)
+ReportStore::series(const std::string &name, const QueryFilter &filter)
 {
     std::vector<SeriesResult> results;
-    walkReports(dir, filter, [&](const ReportRef &ref,
-                                 const std::string &id,
-                                 const JsonValue &entry) {
-        const JsonValue *interval = entry.find("interval_stats");
+    walk(filter, [&](const ReportRef &ref, const std::string &id,
+                     Entry &entry) {
+        const JsonValue *interval = entry.member(IntervalStats);
         IntervalSeries series;
         if (!interval || !interval->isObject() ||
             !IntervalSeries::fromJson(*interval, series))
             return true;
-        int s = series.seriesIndex(stat);
+        int s = series.seriesIndex(name);
         if (s < 0)
             return true;
         SeriesResult result;
@@ -371,14 +453,13 @@ querySeries(const std::string &dir, const std::string &stat,
 }
 
 std::vector<std::string>
-listStats(const std::string &dir, const QueryFilter &filter)
+ReportStore::statNames(const QueryFilter &filter)
 {
     std::vector<std::string> names;
-    walkReports(dir, filter, [&](const ReportRef &,
-                                 const std::string &,
-                                 const JsonValue &entry) {
-        for (const char *group : {"stats", "metrics"}) {
-            if (const JsonValue *members = entry.find(group)) {
+    walk(filter, [&](const ReportRef &, const std::string &,
+                     Entry &entry) {
+        for (Member group : {Stats, Metrics}) {
+            if (const JsonValue *members = entry.member(group)) {
                 for (const auto &[name, value] : members->members)
                     names.push_back(name);
             }
@@ -386,6 +467,32 @@ listStats(const std::string &dir, const QueryFilter &filter)
         return false; // first matching entry only
     });
     return names;
+}
+
+std::vector<BreakdownRow>
+queryBreakdown(const std::string &dir, const QueryFilter &filter)
+{
+    return ReportStore(dir).breakdown(filter);
+}
+
+std::vector<StatRow>
+queryStat(const std::string &dir, const std::string &stat,
+          const QueryFilter &filter)
+{
+    return ReportStore(dir).stat(stat, filter);
+}
+
+std::vector<SeriesResult>
+querySeries(const std::string &dir, const std::string &stat,
+            const QueryFilter &filter)
+{
+    return ReportStore(dir).series(stat, filter);
+}
+
+std::vector<std::string>
+listStats(const std::string &dir, const QueryFilter &filter)
+{
+    return ReportStore(dir).statNames(filter);
 }
 
 std::string

@@ -18,22 +18,31 @@
  *
  * Filters are conjunctive key=value terms (workload/config/scene/
  * fingerprint/width/height/spp/detail/interval). The index and every
- * query share one walk over the directory: the sorted *.json file
- * list (so output is deterministic across filesystems), each report
- * loaded once through loadRunReport (lumibench/run_report.hh). Each
- * answer has one JSON encoder here, so `lumibench query --json` and
- * the matching lumibench/serve.hh route print the same document.
+ * query run over a ReportStore, which indexes each report once
+ * through the one report reader (lumibench/run_report.hh) and keeps
+ * only its ReportRef and the byte ranges of each entry's members. A
+ * query re-reads just the reports with a matching entry and parses
+ * just the member it needs, so a long-lived store (the serve
+ * process) does not re-parse whole reports per query. Output follows
+ * the sorted file-name order, so it is deterministic across
+ * filesystems. Each answer has one JSON encoder here, so
+ * `lumibench query --json` and the matching lumibench/serve.hh route
+ * print the same document.
  */
 
 #ifndef LUMI_LUMIBENCH_QUERY_HH
 #define LUMI_LUMIBENCH_QUERY_HH
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gpu/profile.hh"
+#include "lumibench/run_report.hh"
 
 namespace lumi
 {
@@ -68,8 +77,8 @@ struct ReportIndex
      * Index every parseable lumibench-run-report-v1 *.json under
      * @p dir (non-recursive), in sorted file-name order. Unreadable
      * or foreign JSON files are skipped silently; a missing
-     * directory yields an empty index. The queries below walk the
-     * directory themselves; an index is for listing it.
+     * directory yields an empty index. One-shot: a ReportStore
+     * keeps the index between calls.
      */
     static ReportIndex scan(const std::string &dir);
 };
@@ -145,42 +154,142 @@ struct BreakdownRow
     double rtShare[numRtCycleBuckets] = {};
 };
 
+/**
+ * The memoized index of one report directory. Per *.json file,
+ * keyed on its FileStamp, the store keeps the file's ReportRef and,
+ * per workload entry, the [begin, end) byte range of its "stats",
+ * "metrics" and "interval_stats" members; foreign and corrupt files
+ * are remembered as such. It holds no parsed JSON and no report text
+ * between calls.
+ *
+ * Every call re-lists the directory and stats every file: new or
+ * changed files are indexed (a full parseRunReport), and files that
+ * have gone are dropped, so a campaign still writing into the
+ * directory is visible. Filters run on the memoized refs. Only a
+ * report with a matching entry is read again; if its stamp no longer
+ * equals the key, it is re-indexed from the bytes just read. Then
+ * only the member range the query needs is parsed. Output follows
+ * sorted file-name order. Not thread-safe: a shared store needs a
+ * lock (ReportServer holds one).
+ */
+class ReportStore
+{
+  public:
+    explicit ReportStore(std::string dir) : dir_(std::move(dir)) {}
+
+    /** The reports of the directory, as ReportIndex::scan. */
+    ReportIndex index();
+
+    /**
+     * The cycle breakdown of every workload entry matching
+     * @p filter. Entries without profile.sm.* stats (pre-profiler
+     * reports) are omitted.
+     */
+    std::vector<BreakdownRow> breakdown(const QueryFilter &filter);
+
+    /**
+     * Look up stat @p name for every workload entry matching
+     * @p filter. The name is resolved against the flat "stats"
+     * object first, then the derived "metrics" object. Entries
+     * without the stat are omitted.
+     */
+    std::vector<StatRow> stat(const std::string &name,
+                              const QueryFilter &filter);
+
+    /**
+     * Extract the interval time series of counter @p name from
+     * every matching workload entry. Entries without an
+     * interval_stats section or without the series are omitted.
+     */
+    std::vector<SeriesResult> series(const std::string &name,
+                                     const QueryFilter &filter);
+
+    /**
+     * All stat names (stats + metrics) in the first matching entry;
+     * the walk stops there.
+     */
+    std::vector<std::string> statNames(const QueryFilter &filter);
+
+    /**
+     * Read report @p file (a bare name) verbatim into @p text.
+     * False unless it is a *.json file of the directory that loads
+     * as a run report.
+     */
+    bool readReport(const std::string &file, std::string &text);
+
+  private:
+    /** The members of a workload entry the store keeps ranges of. */
+    enum Member
+    {
+        Stats,
+        Metrics,
+        IntervalStats,
+        NumMembers,
+    };
+
+    /** [begin, end) of one member in the report text. */
+    struct Span
+    {
+        size_t begin = 0;
+        size_t end = 0;
+    };
+
+    /** Member ranges of one entry; an absent member's is empty. */
+    using Spans = std::array<Span, NumMembers>;
+
+    /** What the store keeps of one *.json file. */
+    struct Indexed
+    {
+        FileStamp stamp;
+        /** False for a foreign or corrupt file. */
+        bool report = false;
+        ReportRef ref;
+        /** Per entry of ref.workloads. */
+        std::vector<Spans> entries;
+    };
+
+    /** One matching entry during a walk (defined in query.cc). */
+    class Entry;
+
+    /** Visits one matching entry; returns false to stop the walk. */
+    using EntryVisitor = std::function<bool(
+        const ReportRef &ref, const std::string &id, Entry &entry)>;
+
+    /** Index @p text, read from @p name with @p stamp, into @p file. */
+    static void indexText(Indexed &file, const std::string &name,
+                          const FileStamp &stamp,
+                          const std::string &text);
+
+    /** Re-list the directory; index new and changed files. */
+    void refresh();
+
+    /**
+     * refresh(), then hand each entry matching @p filter to
+     * @p visit, in sorted file-name order, until @p visit stops.
+     */
+    void walk(const QueryFilter &filter, const EntryVisitor &visit);
+
+    std::string dir_;
+    /** By file name, so iteration is in sorted order. */
+    std::map<std::string, Indexed> files_;
+};
+
 /*
- * Each query walks the reports under @p dir once, in sorted
- * file-name order (the ReportIndex::scan order), and reads only the
- * workload entries matching @p filter.
+ * One-shot forms of the ReportStore queries: each indexes @p dir
+ * afresh.
  */
 
-/**
- * The cycle breakdown of every workload entry matching @p filter.
- * Entries without profile.sm.* stats (pre-profiler reports) are
- * omitted.
- */
 std::vector<BreakdownRow> queryBreakdown(const std::string &dir,
                                          const QueryFilter &filter);
 
-/**
- * Look up @p stat for every workload entry matching @p filter. The
- * name is resolved against the flat "stats" object first, then the
- * derived "metrics" object. Entries without the stat are omitted.
- */
 std::vector<StatRow> queryStat(const std::string &dir,
                                const std::string &stat,
                                const QueryFilter &filter);
 
-/**
- * Extract the interval time series of counter @p stat from every
- * matching workload entry. Entries without an interval_stats
- * section or without the series are omitted.
- */
 std::vector<SeriesResult> querySeries(const std::string &dir,
                                       const std::string &stat,
                                       const QueryFilter &filter);
 
-/**
- * All stat names (stats + metrics) in the first matching entry; the
- * walk stops there.
- */
 std::vector<std::string> listStats(const std::string &dir,
                                    const QueryFilter &filter);
 

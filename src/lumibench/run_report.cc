@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include <sys/stat.h>
+
 #include "trace/json.hh"
 #include "trace/json_read.hh"
 
@@ -292,28 +294,66 @@ writeRunReport(const std::string &path,
     return ok;
 }
 
+namespace
+{
+
+FileStamp
+stampOf(const struct stat &info)
+{
+    return {static_cast<uint64_t>(info.st_size),
+            static_cast<int64_t>(info.st_mtim.tv_sec) * 1000000000 +
+                info.st_mtim.tv_nsec,
+            static_cast<uint64_t>(info.st_ino)};
+}
+
+} // namespace
+
 bool
-readWholeFile(const std::string &path, std::string &text)
+statFile(const std::string &path, FileStamp &stamp)
+{
+    struct stat info;
+    if (::stat(path.c_str(), &info) != 0 || !S_ISREG(info.st_mode))
+        return false;
+    stamp = stampOf(info);
+    return true;
+}
+
+bool
+readWholeFile(const std::string &path, std::string &text,
+              FileStamp *stamp)
 {
     FILE *file = std::fopen(path.c_str(), "rb");
     if (!file)
         return false;
     text.clear();
+    struct stat info;
+    bool ok = ::fstat(::fileno(file), &info) == 0;
+    if (ok) {
+        text.reserve(static_cast<size_t>(info.st_size));
+        if (stamp)
+            *stamp = stampOf(info);
+    }
     char buf[1 << 14];
     size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+    while (ok && (got = std::fread(buf, 1, sizeof(buf), file)) > 0)
         text.append(buf, got);
-    bool ok = !std::ferror(file);
+    ok = ok && !std::ferror(file);
     std::fclose(file);
     return ok;
+}
+
+bool
+parseRunReport(const std::string &text, JsonValue &doc)
+{
+    return parseJson(text, doc) && doc.isObject() &&
+           doc.str("schema") == kRunReportSchema;
 }
 
 bool
 loadRunReport(const std::string &path, std::string &text,
               JsonValue &doc)
 {
-    return readWholeFile(path, text) && parseJson(text, doc) &&
-           doc.isObject() && doc.str("schema") == kRunReportSchema;
+    return readWholeFile(path, text) && parseRunReport(text, doc);
 }
 
 } // namespace lumi

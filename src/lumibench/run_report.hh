@@ -18,6 +18,7 @@
 #ifndef LUMI_LUMIBENCH_RUN_REPORT_HH
 #define LUMI_LUMIBENCH_RUN_REPORT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,14 +58,45 @@ bool writeRunReport(const std::string &path,
                     const std::vector<WorkloadResult> &results,
                     const RunOptions &options);
 
-/** Read the whole file at @p path into @p text; false on I/O failure. */
-bool readWholeFile(const std::string &path, std::string &text);
+/**
+ * Change key of a file: size, modification time in ns and inode. A
+ * rewrite changes the size or the mtime; a temp-file-plus-rename
+ * changes the inode.
+ */
+struct FileStamp
+{
+    uint64_t size = 0;
+    int64_t mtimeNs = 0;
+    uint64_t inode = 0;
+
+    bool operator==(const FileStamp &) const = default;
+};
 
 /**
- * Load the run report at @p path: read it into @p text, parse it
- * into @p doc (whose byte ranges index @p text) and check its schema
- * tag. False when the file is unreadable, not a JSON object, or not
- * a kRunReportSchema report.
+ * Stamp the file at @p path (symlinks followed); false when it is
+ * missing or not a regular file.
+ */
+bool statFile(const std::string &path, FileStamp &stamp);
+
+/**
+ * Read the whole file at @p path into @p text; false on I/O failure.
+ * A non-null @p stamp receives the stamp of the open file, so it
+ * describes the bytes read.
+ */
+bool readWholeFile(const std::string &path, std::string &text,
+                   FileStamp *stamp = nullptr);
+
+/**
+ * Parse report @p text into @p doc (whose byte ranges index
+ * @p text) and check its schema tag. False when @p text is not a
+ * JSON object or not a kRunReportSchema report.
+ */
+bool parseRunReport(const std::string &text, JsonValue &doc);
+
+/**
+ * Load the run report at @p path: readWholeFile() into @p text, then
+ * parseRunReport() into @p doc. False when the file is unreadable or
+ * not a report.
  */
 bool loadRunReport(const std::string &path, std::string &text,
                    JsonValue &doc);

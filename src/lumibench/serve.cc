@@ -1,5 +1,6 @@
 #include "lumibench/serve.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,7 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "lumibench/query.hh"
 #include "lumibench/run_report.hh"
 #include "trace/json.hh"
 
@@ -251,7 +251,8 @@ ReportServer::handle(const std::string &target) const
                         : parseQuery(target.substr(qmark + 1));
 
     if (path == "/healthz") {
-        ReportIndex index = ReportIndex::scan(dir_);
+        MutexLock lock(mutex_);
+        ReportIndex index = store_.index();
         JsonWriter json;
         json.beginObject();
         json.key("status");
@@ -277,7 +278,8 @@ ReportServer::handle(const std::string &target) const
     }
 
     if (path == "/index") {
-        ReportIndex index = ReportIndex::scan(dir_);
+        MutexLock lock(mutex_);
+        ReportIndex index = store_.index();
         JsonWriter json;
         writeIndexJson(json, index);
         return {200, "application/json", json.str()};
@@ -287,9 +289,10 @@ ReportServer::handle(const std::string &target) const
         QueryFilter filter;
         if (!buildFilter(params, filter))
             return errorResponse(400, "unknown filter key");
+        MutexLock lock(mutex_);
         JsonWriter json;
         json.beginArray();
-        for (const std::string &name : listStats(dir_, filter))
+        for (const std::string &name : store_.statNames(filter))
             json.value(name);
         json.endArray();
         return {200, "application/json", json.str()};
@@ -302,18 +305,20 @@ ReportServer::handle(const std::string &target) const
         QueryFilter filter;
         if (!buildFilter(params, filter))
             return errorResponse(400, "unknown filter key");
+        MutexLock lock(mutex_);
         return {200, "application/json",
                 path == "/stat"
-                    ? statRowsJson(queryStat(dir_, name, filter))
-                    : seriesJson(querySeries(dir_, name, filter))};
+                    ? statRowsJson(store_.stat(name, filter))
+                    : seriesJson(store_.series(name, filter))};
     }
 
     if (path == "/breakdown") {
         QueryFilter filter;
         if (!buildFilter(params, filter))
             return errorResponse(400, "unknown filter key");
+        MutexLock lock(mutex_);
         return {200, "application/json",
-                breakdownJson(queryBreakdown(dir_, filter))};
+                breakdownJson(store_.breakdown(filter))};
     }
 
     if (path == "/view")
@@ -321,14 +326,22 @@ ReportServer::handle(const std::string &target) const
 
     if (path == "/report") {
         std::string file = paramValue(params, "file");
-        // A bare file name only: no traversal out of the directory.
+        // A bare file name only: no traversal out of the directory,
+        // and no NUL or other control byte (a decoded %00 would cut
+        // the path short).
+        auto control = [](char c) {
+            return static_cast<unsigned char>(c) < 0x20 || c == 0x7f;
+        };
         if (file.empty() ||
             file.find('/') != std::string::npos ||
             file.find('\\') != std::string::npos ||
-            file.find("..") != std::string::npos)
+            file.find("..") != std::string::npos ||
+            std::any_of(file.begin(), file.end(), control))
             return errorResponse(400, "bad file parameter");
+        // Only a file the store indexes as a run report is served.
+        MutexLock lock(mutex_);
         std::string body;
-        if (!readWholeFile(dir_ + "/" + file, body))
+        if (!store_.readReport(file, body))
             return errorResponse(404, "no such report");
         return {200, "application/json", std::move(body)};
     }

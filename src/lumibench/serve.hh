@@ -6,9 +6,17 @@
  *
  * The server answers GET requests with JSON produced by the query
  * layer's encoders, so a /stat, /series or /breakdown body is the
- * document `lumibench query --json` prints. It holds no state beyond
- * the directory path: each request reads each report once, so a
- * still-running campaign is visible live. Routing is factored into
+ * document `lumibench query --json` prints. Its one piece of state
+ * is a ReportStore (lumibench/query.hh) shared by all requests: per
+ * *.json file, keyed on (size, mtime in ns, inode), the file's
+ * ReportRef and the byte ranges of each entry's stats, metrics and
+ * interval_stats members -- no parsed JSON and no report text. Each
+ * request re-lists the directory and stats every file, re-indexing
+ * new or changed files and dropping deleted ones, so a
+ * still-running campaign is visible live; then it re-reads only the
+ * reports with a matching entry and parses only the member its
+ * route needs. /report serves only files the store indexes as run
+ * reports. Routing is factored into
  * handle(), a pure function of the request target, so tests exercise
  * every route without opening sockets; bind()/serve() add a
  * deliberately small HTTP/1.0-style loop on top (one request per
@@ -24,7 +32,9 @@
  *   /breakdown?workload=...      cycle-account rows (queryBreakdown)
  *   /view                        embedded HTML stacked-area view of
  *                                the profile.sm.* series
- *   /report?file=F               raw report JSON, verbatim
+ *   /report?file=F               raw report JSON, verbatim (400 for
+ *                                a path or control character, 404
+ *                                unless F is a run report)
  * Filter terms (workload/config/scene/fingerprint/width/height/spp/
  * detail/interval) apply to /stats, /stat, /series and /breakdown.
  * Every response, errors included, carries an explicit Content-Type
@@ -38,6 +48,7 @@
 #include <string>
 
 #include "check/thread_annotations.hh"
+#include "lumibench/query.hh"
 
 namespace lumi
 {
@@ -56,7 +67,7 @@ class ReportServer
         std::string body;
     };
 
-    explicit ReportServer(std::string dir) : dir_(std::move(dir)) {}
+    explicit ReportServer(std::string dir) : store_(std::move(dir)) {}
     ~ReportServer();
 
     ReportServer(const ReportServer &) = delete;
@@ -65,9 +76,11 @@ class ReportServer
     /**
      * Route one request target (path + optional query string, e.g.
      * "/stat?name=gpu.cycles"). Unknown paths return 404, bad
-     * parameters 400; every body is JSON.
+     * parameters 400; every body is JSON. Safe to call from several
+     * threads: store access is serialized on the mutex.
      */
-    Response handle(const std::string &target) const;
+    Response handle(const std::string &target) const
+        LUMI_EXCLUDES(mutex_);
 
     /**
      * Bind a listening IPv4 socket on 127.0.0.1:@p port (0 picks an
@@ -99,9 +112,10 @@ class ReportServer
     void requestStop() LUMI_EXCLUDES(mutex_);
 
   private:
-    std::string dir_;
-    /** Guards the socket lifecycle (bind/teardown vs. observers). */
+    /** Guards the socket lifecycle (bind/teardown vs. observers)
+     *  and the report store. */
     mutable Mutex mutex_;
+    mutable ReportStore store_ LUMI_GUARDED_BY(mutex_);
     int fd_ LUMI_GUARDED_BY(mutex_) = -1;
     int port_ LUMI_GUARDED_BY(mutex_) = 0;
     /** Lock-free so serve() polls it without touching mutex_. */

@@ -61,6 +61,18 @@ freshDir(const char *tag)
     return path;
 }
 
+/** Write @p text to @p path; false on any I/O failure. */
+bool
+writeText(const std::string &path, const std::string &text)
+{
+    FILE *file = std::fopen(path.c_str(), "wb");
+    if (!file)
+        return false;
+    bool ok = std::fwrite(text.data(), 1, text.size(), file) ==
+              text.size();
+    return std::fclose(file) == 0 && ok;
+}
+
 /** Populate @p dir with two sampled single-workload reports. */
 void
 writeSampleReports(const std::string &dir, WorkloadResult &bunny,
@@ -450,6 +462,18 @@ TEST(Serve, RouterEdgeCases)
         server.handle("/report?file=%2e%2e%2fetc%2fpasswd").status,
         400);
     EXPECT_EQ(server.handle("/report?file=a%2fb.json").status, 400);
+    // A decoded NUL or other control byte is rejected, not cut
+    // short at the file-system call.
+    EXPECT_EQ(server.handle("/report?file=b_bunny.json%00x").status,
+              400);
+    EXPECT_EQ(server.handle("/report?file=b_bunny%0a.json").status,
+              400);
+    // /report serves run reports only: a foreign JSON file and a
+    // non-JSON file in the directory are both unknown.
+    EXPECT_EQ(server.handle("/report?file=junk.json").status, 404);
+    ASSERT_TRUE(writeText(dir + "/notes.txt", "not a report"));
+    EXPECT_EQ(server.handle("/report?file=notes.txt").status, 404);
+    EXPECT_EQ(server.handle("/report?file=b_bunny.json").status, 200);
     // Unknown query keys are a client error on every filtered
     // route, not silently ignored.
     EXPECT_EQ(server.handle("/breakdown?bogus=1").status, 400);
@@ -501,5 +525,139 @@ TEST(Serve, AnswersOverLoopbackSocket)
     EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
     EXPECT_NE(response.find("\"status\":\"ok\""),
               std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Serve, StoreSeesChangedReports)
+{
+    std::string dir = freshDir("changes");
+    WorkloadResult bunny;
+    RunOptions options;
+    writeSampleReports(dir, bunny, options);
+    query::ReportServer server(dir);
+    auto health = [&] { return server.handle("/healthz").body; };
+    auto indexed = [&](const std::string &file) {
+        return server.handle("/index").body.find("\"" + file + "\"") !=
+               std::string::npos;
+    };
+    const std::string stat_target =
+        "/stat?name=gpu.cycles&workload=BUNNY_AO";
+    EXPECT_NE(health().find("\"reports\":2"), std::string::npos);
+    std::string before = server.handle(stat_target).body;
+    EXPECT_NE(before.find(std::to_string(bunny.stats.cycles)),
+              std::string::npos);
+
+    // A report added after the first requests is visible.
+    std::string bunny_text;
+    ASSERT_TRUE(readWholeFile(dir + "/b_bunny.json", bunny_text));
+    ASSERT_TRUE(writeText(dir + "/c_late.json", bunny_text));
+    EXPECT_NE(health().find("\"reports\":3"), std::string::npos);
+    EXPECT_TRUE(indexed("c_late.json"));
+
+    // A report replaced by temp file plus rename answers with its
+    // new contents.
+    WorkloadResult changed = bunny;
+    const std::string key = "\"gpu.cycles\":";
+    size_t at = changed.statsJson.find(key);
+    ASSERT_NE(at, std::string::npos);
+    size_t digits = at + key.size();
+    size_t stop = changed.statsJson.find_first_not_of("0123456789",
+                                                      digits);
+    ASSERT_GT(stop, digits);
+    changed.statsJson.replace(digits, stop - digits, "987654321");
+    ASSERT_TRUE(writeRunReport(dir + "/b_bunny.json.tmp", {changed},
+                               options));
+    std::filesystem::rename(dir + "/b_bunny.json.tmp",
+                            dir + "/b_bunny.json");
+    std::string after = server.handle(stat_target).body;
+    EXPECT_NE(after.find("{\"file\":\"b_bunny.json\",\"workload\":"
+                         "\"BUNNY_AO\",\"value\":987654321}"),
+              std::string::npos)
+        << after;
+    EXPECT_NE(after.find("{\"file\":\"c_late.json\",\"workload\":"
+                         "\"BUNNY_AO\",\"value\":" +
+                         std::to_string(bunny.stats.cycles) + "}"),
+              std::string::npos)
+        << after;
+
+    // A report overwritten with garbage drops out.
+    ASSERT_TRUE(server.handle("/stat?name=gpu.cycles&workload=REF_SH")
+                    .body.find("a_ref.json") != std::string::npos);
+    ASSERT_TRUE(writeText(dir + "/a_ref.json", "{\"schema\": garbage"));
+    EXPECT_NE(health().find("\"reports\":2"), std::string::npos);
+    EXPECT_FALSE(indexed("a_ref.json"));
+    EXPECT_EQ(server.handle("/stat?name=gpu.cycles&workload=REF_SH")
+                  .body,
+              "[]");
+
+    // A deleted report drops out.
+    std::filesystem::remove(dir + "/c_late.json");
+    EXPECT_NE(health().find("\"reports\":1"), std::string::npos);
+    EXPECT_FALSE(indexed("c_late.json"));
+    EXPECT_TRUE(indexed("b_bunny.json"));
+    EXPECT_EQ(server.handle("/report?file=c_late.json").status, 404);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Serve, ConcurrentHandleMatchesSerial)
+{
+    std::string dir = freshDir("concurrent");
+    WorkloadResult bunny;
+    RunOptions options;
+    writeSampleReports(dir, bunny, options);
+    const std::vector<std::string> targets = {
+        "/healthz",
+        "/version",
+        "/index",
+        "/stats?workload=BUNNY_AO",
+        "/stat?name=gpu.cycles",
+        "/stat?name=ipc&scene=REF",
+        "/series?name=rt.rays_traced",
+        "/series?name=gpu.cycles&workload=REF_SH",
+        "/breakdown",
+        "/breakdown?workload=BUNNY_AO",
+        "/view",
+        "/report?file=b_bunny.json",
+        "/report?file=junk.json",
+        "/stat?name=x&bogus=1",
+        "/nope",
+    };
+    std::vector<query::ReportServer::Response> serial;
+    {
+        query::ReportServer reference(dir);
+        for (const std::string &target : targets)
+            serial.push_back(reference.handle(target));
+    }
+
+    // A fresh server, so the threads also race its first indexing.
+    query::ReportServer server(dir);
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::vector<std::vector<int>> mismatches(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; round++) {
+                for (size_t k = 0; k < targets.size(); k++) {
+                    // Each thread starts at a different route.
+                    size_t i = (k + static_cast<size_t>(t) * 4) %
+                               targets.size();
+                    query::ReportServer::Response got =
+                        server.handle(targets[i]);
+                    if (got.status != serial[i].status ||
+                        got.contentType != serial[i].contentType ||
+                        got.body != serial[i].body)
+                        mismatches[t].push_back(static_cast<int>(i));
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; t++) {
+        for (int i : mismatches[t])
+            ADD_FAILURE() << "thread " << t << ": " << targets[i]
+                          << " differs from the serial answer";
+    }
     std::filesystem::remove_all(dir);
 }
