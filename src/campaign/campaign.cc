@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -26,6 +26,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Delay before a job's first retry; doubles per further retry. */
+constexpr double kRetryBackoffSeconds = 0.05;
+
 double
 secondsSince(Clock::time_point start)
 {
@@ -33,36 +36,23 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
-/** Watchdog/cancellation state for one in-flight job. */
-struct JobSlot
-{
-    /** Wall deadline in microseconds from campaign start; -1 idle. */
-    std::atomic<int64_t> deadlineUs{-1};
-    std::atomic<bool> cancel{false};
-};
-
 /**
- * Unwind safety net: joins the worker pool and the watchdog on every
- * exit path. The normal path joins explicitly before aggregating, so
- * the destructor usually finds nothing joinable; on exception unwind
- * it stops the watchdog and drains the workers instead of letting a
- * joinable std::thread reach its destructor (std::terminate).
+ * Unwind safety net: joins the worker pool on every exit path. The
+ * normal path joins explicitly before aggregating, so the destructor
+ * usually finds nothing joinable; on exception unwind it drains the
+ * workers instead of letting a joinable std::thread reach its
+ * destructor (std::terminate).
  */
 struct JoinGuard
 {
     std::vector<std::thread> &pool;
-    std::thread &watchdog;
-    std::atomic<bool> &poolDone;
 
     ~JoinGuard()
     {
-        poolDone.store(true, std::memory_order_relaxed);
         for (std::thread &thread : pool) {
             if (thread.joinable())
                 thread.join();
         }
-        if (watchdog.joinable())
-            watchdog.join();
     }
 };
 
@@ -151,7 +141,7 @@ CampaignResult::registerStats(StatRegistry &registry) const
     registry.addCounter("campaign.jobs.failed", &s->failed,
                         "jobs that exhausted every attempt");
     registry.addCounter("campaign.jobs.timeout", &s->timeout,
-                        "jobs cancelled on a cycle/wall budget");
+                        "jobs stopped on their cycle budget");
     registry.addCounter("campaign.jobs.cached", &s->cached,
                         "jobs loaded from the result cache");
     registry.addCounter("campaign.jobs.retries", &s->retries,
@@ -202,10 +192,8 @@ runCampaign(const std::vector<Job> &jobs,
         }
     }
 
-    std::deque<JobSlot> slots(jobs.size());
     std::atomic<size_t> next{0};
     std::atomic<size_t> completed{0};
-    std::atomic<bool> pool_done{false};
     // Serializes progress lines from workers and the heartbeat. The
     // line counter rides under the same mutex so every echoed line
     // gets a strictly increasing index even when two workers finish
@@ -241,7 +229,6 @@ runCampaign(const std::vector<Job> &jobs,
 
     auto execute = [&](size_t index, int worker) {
         const Job &job = jobs[index];
-        JobSlot &slot = slots[index];
         JobOutcome &outcome = campaign.outcomes[index];
         outcome.id = job.id();
         outcome.worker = worker;
@@ -269,29 +256,12 @@ runCampaign(const std::vector<Job> &jobs,
             }
         }
 
-        RunOptions effective = job.options;
-        if (options.jobCycleBudget != 0 && effective.maxCycles == 0)
-            effective.maxCycles = options.jobCycleBudget;
-        effective.cancelFlag = &slot.cancel;
-
         for (int attempt = 1;; attempt++) {
             outcome.attempts = attempt;
-            slot.cancel.store(false, std::memory_order_relaxed);
-            if (options.jobWallBudgetSeconds > 0.0) {
-                slot.deadlineUs.store(
-                    static_cast<int64_t>(
-                        (secondsSince(campaign_start) +
-                         options.jobWallBudgetSeconds) *
-                        1e6),
-                    std::memory_order_relaxed);
-            }
             try {
                 outcome.result =
-                    options.runFn
-                        ? options.runFn(job, effective)
-                        : runJobOnce(job, effective);
-                slot.deadlineUs.store(-1,
-                                      std::memory_order_relaxed);
+                    options.runFn ? options.runFn(job, job.options)
+                                  : runJobOnce(job, job.options);
                 outcome.status = JobStatus::Ok;
                 if (!cache_path.empty() &&
                     writeCachedResult(cache_path, job,
@@ -299,36 +269,25 @@ runCampaign(const std::vector<Job> &jobs,
                     outcome.wroteCache = true;
                 break;
             } catch (const SimulationAborted &aborted) {
-                // Budgets are deliberate limits, not transient
-                // faults: stop immediately, keep the campaign going.
-                slot.deadlineUs.store(-1,
-                                      std::memory_order_relaxed);
+                // A budget is a deliberate limit, not a transient
+                // fault: stop immediately, keep the campaign going.
                 outcome.status = JobStatus::Timeout;
                 outcome.error = aborted.what();
                 break;
             } catch (const std::exception &error) {
-                slot.deadlineUs.store(-1,
-                                      std::memory_order_relaxed);
                 outcome.error = error.what();
                 if (attempt <= options.retries) {
                     events.jobRetried(secondsSince(campaign_start),
                                       index, outcome.id,
                                       attempt + 1, outcome.error);
-                    double backoff =
-                        options.retryBackoffSeconds *
-                        static_cast<double>(1 << (attempt - 1));
-                    if (backoff > 0.0) {
-                        std::this_thread::sleep_for(
-                            std::chrono::duration<double>(
-                                backoff));
-                    }
+                    std::this_thread::sleep_for(
+                        std::chrono::duration<double>(std::ldexp(
+                            kRetryBackoffSeconds, attempt - 1)));
                     continue;
                 }
                 outcome.status = JobStatus::Failed;
                 break;
             } catch (...) {
-                slot.deadlineUs.store(-1,
-                                      std::memory_order_relaxed);
                 outcome.status = JobStatus::Failed;
                 outcome.error = "unknown exception";
                 break;
@@ -345,34 +304,11 @@ runCampaign(const std::vector<Job> &jobs,
         echo(outcome);
     };
 
-    // The worker pool and the wall-budget watchdog are joined on
-    // every exit path: explicitly below on the normal path, by the
-    // guard if anything between here and those joins unwinds.
+    // The worker pool is joined on every exit path: explicitly
+    // below on the normal path, by the guard if anything between
+    // here and that join unwinds.
     std::vector<std::thread> pool;
-    std::thread watchdog;
-    JoinGuard join_guard{pool, watchdog, pool_done};
-
-    // The wall-budget watchdog: scans in-flight deadlines and flips
-    // the cancel flag the simulator polls at cycle boundaries. The
-    // sim thread itself is wedged inside Gpu::run, so cancellation
-    // has to come from outside.
-    if (options.jobWallBudgetSeconds > 0.0) {
-        watchdog = std::thread([&] {
-            while (!pool_done.load(std::memory_order_relaxed)) {
-                int64_t now_us = static_cast<int64_t>(
-                    secondsSince(campaign_start) * 1e6);
-                for (JobSlot &slot : slots) {
-                    int64_t deadline = slot.deadlineUs.load(
-                        std::memory_order_relaxed);
-                    if (deadline >= 0 && now_us > deadline)
-                        slot.cancel.store(
-                            true, std::memory_order_relaxed);
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            }
-        });
-    }
+    JoinGuard join_guard{pool};
 
     // The heartbeat observes only the `completed` atomic and the
     // clock; it cannot perturb job results. Declared after the join
@@ -420,11 +356,8 @@ runCampaign(const std::vector<Job> &jobs,
         for (std::thread &thread : pool)
             thread.join();
     }
-    pool_done.store(true, std::memory_order_relaxed);
     if (heartbeat)
         heartbeat->stop();
-    if (watchdog.joinable())
-        watchdog.join();
 
     // Aggregate in job order: the counters are deterministic
     // functions of the outcomes, never racy increments.

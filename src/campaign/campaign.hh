@@ -13,10 +13,10 @@
  *  - exception capture with a per-job status (ok/failed/timeout/
  *    cached): one crashing simulation never aborts the campaign;
  *  - bounded retry with exponential backoff for transient failures;
- *  - a soft per-job cycle and wall-clock budget: a runaway sim is
- *    cancelled cooperatively (Gpu::setCancelFlag) at a cycle
- *    boundary and reported as `timeout`, its worker freed for the
- *    next job;
+ *  - a soft per-job cycle budget (the job's RunOptions::maxCycles;
+ *    there is no wall-clock budget, so a job's status never depends
+ *    on host speed): a runaway sim stops at a cycle boundary and is
+ *    reported as `timeout`, its worker freed for the next job;
  *
  * plus a content-addressed result cache (campaign/cache.hh) keyed on
  * (job id, configFingerprint, render params, scene detail): a warm
@@ -54,7 +54,7 @@ enum class JobStatus
 {
     Ok,      ///< simulated to completion this run
     Failed,  ///< every attempt raised an error
-    Timeout, ///< cancelled on the cycle or wall budget
+    Timeout, ///< stopped on the job's cycle budget
     Cached,  ///< loaded from the result cache, no simulation
 };
 
@@ -132,14 +132,11 @@ struct CampaignOptions
 {
     /** Worker threads; 0 = hardware_concurrency. */
     int jobs = 0;
-    /** Re-attempts after a transient failure (0 = fail fast). */
+    /**
+     * Re-attempts after a transient failure (0 = fail fast); the
+     * first waits 50 ms, each further one twice as long.
+     */
     int retries = 1;
-    /** First backoff delay; doubles per further attempt. */
-    double retryBackoffSeconds = 0.05;
-    /** Soft wall budget per job; 0 = unlimited. */
-    double jobWallBudgetSeconds = 0.0;
-    /** Soft simulated-cycle budget per job; 0 = unlimited. */
-    uint64_t jobCycleBudget = 0;
     /** Result-cache directory; empty disables the cache. */
     std::string cacheDir;
     /** Echo per-job progress lines to stderr. */
@@ -165,9 +162,8 @@ struct CampaignOptions
      */
     Tracer *tracer = nullptr;
     /**
-     * Test seam: runs one job attempt with the engine-effective
-     * options (cancel flag and cycle budget applied). Defaults to
-     * runWorkload/runCompute. Must be thread-safe.
+     * Test seam: runs one job attempt with the job's options.
+     * Defaults to runWorkload/runCompute. Must be thread-safe.
      */
     std::function<WorkloadResult(const Job &, const RunOptions &)>
         runFn;

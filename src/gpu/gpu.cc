@@ -230,11 +230,9 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
     // a previous launch are overwritten when everything re-registers.
     bool first = true;
     for (;;) {
-        // Soft budget / cooperative cancellation: a runaway sim
-        // stops at a cycle boundary instead of wedging its worker.
-        if ((cycleBudget_ != 0 && now_ >= cycleBudget_) ||
-            (cancel_ &&
-             cancel_->load(std::memory_order_relaxed))) {
+        // Soft cycle budget: a runaway sim stops at a cycle
+        // boundary instead of wedging its worker.
+        if (cycleBudget_ != 0 && now_ >= cycleBudget_) {
             aborted_ = true;
             break;
         }
@@ -336,9 +334,7 @@ void
 Gpu::runLegacyLoop(const KernelLaunch &launch, uint32_t &next_warp)
 {
     for (;;) {
-        if ((cycleBudget_ != 0 && now_ >= cycleBudget_) ||
-            (cancel_ &&
-             cancel_->load(std::memory_order_relaxed))) {
+        if (cycleBudget_ != 0 && now_ >= cycleBudget_) {
             aborted_ = true;
             break;
         }

@@ -12,7 +12,6 @@
 #ifndef LUMI_GPU_GPU_HH
 #define LUMI_GPU_GPU_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -119,17 +118,6 @@ class Gpu
     }
 
     /**
-     * Cooperative cancellation: when @p flag (owned by the caller,
-     * e.g. a campaign watchdog enforcing a wall-clock budget) becomes
-     * true, run() stops at the next cycle boundary and aborted()
-     * turns true. Null disables the check.
-     */
-    void setCancelFlag(const std::atomic<bool> *flag)
-    {
-        cancel_ = flag;
-    }
-
-    /**
      * Attach an interval sampler (owned by the caller): run() calls
      * maybeSample() whenever the clock crosses a sampling grid point
      * and sampleFinal() at launch end. The sampler only *reads*
@@ -152,7 +140,7 @@ class Gpu
         profiler_ = profiler;
     }
 
-    /** True once a run stopped early on budget or cancellation. */
+    /** True once a run stopped early on the budget or a deadlock. */
     bool aborted() const { return aborted_; }
 
     /**
@@ -231,7 +219,6 @@ class Gpu
     std::vector<uint8_t> coreDirty_;
     uint64_t now_ = 0;
     uint64_t cycleBudget_ = 0;
-    const std::atomic<bool> *cancel_ = nullptr;
     IntervalSampler *sampler_ = nullptr;
     HostProfiler *profiler_ = nullptr;
     bool aborted_ = false;

@@ -469,32 +469,6 @@ ReportStore::statNames(const QueryFilter &filter)
     return names;
 }
 
-std::vector<BreakdownRow>
-queryBreakdown(const std::string &dir, const QueryFilter &filter)
-{
-    return ReportStore(dir).breakdown(filter);
-}
-
-std::vector<StatRow>
-queryStat(const std::string &dir, const std::string &stat,
-          const QueryFilter &filter)
-{
-    return ReportStore(dir).stat(stat, filter);
-}
-
-std::vector<SeriesResult>
-querySeries(const std::string &dir, const std::string &stat,
-            const QueryFilter &filter)
-{
-    return ReportStore(dir).series(stat, filter);
-}
-
-std::vector<std::string>
-listStats(const std::string &dir, const QueryFilter &filter)
-{
-    return ReportStore(dir).statNames(filter);
-}
-
 std::string
 statRowsJson(const std::vector<StatRow> &rows)
 {

@@ -274,25 +274,6 @@ class ReportStore
     std::map<std::string, Indexed> files_;
 };
 
-/*
- * One-shot forms of the ReportStore queries: each indexes @p dir
- * afresh.
- */
-
-std::vector<BreakdownRow> queryBreakdown(const std::string &dir,
-                                         const QueryFilter &filter);
-
-std::vector<StatRow> queryStat(const std::string &dir,
-                               const std::string &stat,
-                               const QueryFilter &filter);
-
-std::vector<SeriesResult> querySeries(const std::string &dir,
-                                      const std::string &stat,
-                                      const QueryFilter &filter);
-
-std::vector<std::string> listStats(const std::string &dir,
-                                   const QueryFilter &filter);
-
 /** [{"file","workload","value"}]; value is the exact source token. */
 std::string statRowsJson(const std::vector<StatRow> &rows);
 

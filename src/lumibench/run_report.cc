@@ -147,19 +147,7 @@ runReportJson(const std::vector<WorkloadResult> &results,
         json.key("rt_units");
         json.value(result.rtUnits);
 
-        json.key("phases");
-        json.beginArray();
-        for (const PhaseTiming &phase : result.phases) {
-            json.beginObject();
-            json.key("name");
-            json.value(phase.name);
-            json.key("seconds");
-            json.value(phase.seconds);
-            json.key("count");
-            json.value(phase.count);
-            json.endObject();
-        }
-        json.endArray();
+        writePhasesJson(json, result.phases);
 
         // The stat-registry dump is already JSON; splice it in.
         json.key("stats");
@@ -278,20 +266,30 @@ runReportJson(const std::vector<WorkloadResult> &results,
     return json.str();
 }
 
+void
+writePhasesJson(JsonWriter &json, const std::vector<PhaseTiming> &phases)
+{
+    json.key("phases");
+    json.beginArray();
+    for (const PhaseTiming &phase : phases) {
+        json.beginObject();
+        json.key("name");
+        json.value(phase.name);
+        json.key("seconds");
+        json.value(phase.seconds);
+        json.key("count");
+        json.value(phase.count);
+        json.endObject();
+    }
+    json.endArray();
+}
+
 bool
 writeRunReport(const std::string &path,
                const std::vector<WorkloadResult> &results,
                const RunOptions &options)
 {
-    FILE *file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    std::string body = runReportJson(results, options);
-    bool ok = std::fwrite(body.data(), 1, body.size(), file) ==
-              body.size();
-    if (std::fclose(file) != 0)
-        ok = false;
-    return ok;
+    return writeWholeFile(path, runReportJson(results, options));
 }
 
 namespace
@@ -316,6 +314,19 @@ statFile(const std::string &path, FileStamp &stamp)
         return false;
     stamp = stampOf(info);
     return true;
+}
+
+bool
+writeWholeFile(const std::string &path, const std::string &text)
+{
+    FILE *file = std::fopen(path.c_str(), "wb");
+    if (!file)
+        return false;
+    bool ok = std::fwrite(text.data(), 1, text.size(), file) ==
+              text.size();
+    if (std::fclose(file) != 0)
+        ok = false;
+    return ok;
 }
 
 bool

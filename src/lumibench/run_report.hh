@@ -27,6 +27,7 @@
 namespace lumi
 {
 
+class JsonWriter;
 struct JsonValue;
 
 /** Schema tag written into (and required of) every report file. */
@@ -52,6 +53,13 @@ std::string configFingerprint(const GpuConfig &config);
 /** Serialize one run (any number of workloads) as a JSON document. */
 std::string runReportJson(const std::vector<WorkloadResult> &results,
                           const RunOptions &options);
+
+/**
+ * Write @p phases as a "phases" member, [{"name","seconds","count"}]:
+ * the one writer of run reports and campaign manifests.
+ */
+void writePhasesJson(JsonWriter &json,
+                     const std::vector<PhaseTiming> &phases);
 
 /** Write runReportJson() to @p path; false on any I/O failure. */
 bool writeRunReport(const std::string &path,
@@ -85,6 +93,9 @@ bool statFile(const std::string &path, FileStamp &stamp);
  */
 bool readWholeFile(const std::string &path, std::string &text,
                    FileStamp *stamp = nullptr);
+
+/** Write @p text to @p path, replacing it; false on I/O failure. */
+bool writeWholeFile(const std::string &path, const std::string &text);
 
 /**
  * Parse report @p text into @p doc (whose byte ranges index

@@ -1,10 +1,13 @@
 #include "lumibench/runner.hh"
 
 #include <cerrno>
+#include <cfloat>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <type_traits>
 
 #include "check/check.hh"
 #include "compute/rtq/rtq_pipeline.hh"
@@ -15,50 +18,95 @@
 namespace lumi
 {
 
+namespace
+{
+
+/**
+ * The strict number parse behind parseFlagNumber and envutil. It
+ * reads integers as long long and reals as double, so the range
+ * check sees a value too large for T before any narrowing. False
+ * leaves @p value as is.
+ */
+template <typename T>
+bool
+parseNumber(const char *text, T min, T max, T &value)
+{
+    std::conditional_t<std::is_integral_v<T>, long long, double> parsed;
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_integral_v<T>)
+        parsed = std::strtoll(text, &end, 10);
+    else
+        parsed = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !(std::isfinite(parsed) && parsed >= min && parsed <= max))
+        return false;
+    value = static_cast<T>(parsed);
+    return true;
+}
+
+} // namespace
+
 namespace envutil
 {
 
 int
 readInt(const char *name, int fallback, int min)
 {
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        parsed < min || parsed > INT_MAX) {
+    const char *text = std::getenv(name);
+    int value = fallback;
+    if (text && *text && !parseNumber(text, min, INT_MAX, value)) {
         std::fprintf(stderr,
                      "lumi: ignoring %s='%s' (want an integer >= %d); "
                      "using %d\n",
-                     name, value, min, fallback);
-        return fallback;
+                     name, text, min, fallback);
     }
-    return static_cast<int>(parsed);
+    return value;
 }
 
 double
-readDouble(const char *name, double fallback)
+readDouble(const char *name, double fallback, double max)
 {
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        !(parsed > 0.0)) {
+    const char *text = std::getenv(name);
+    double value = fallback;
+    if (text && *text &&
+        !parseNumber(text, std::numeric_limits<double>::denorm_min(),
+                     max, value)) {
         std::fprintf(stderr,
-                     "lumi: ignoring %s='%s' (want a number > 0); "
-                     "using %g\n",
-                     name, value, fallback);
-        return fallback;
+                     "lumi: ignoring %s='%s' (want a number in "
+                     "(0, %g]); using %g\n",
+                     name, text, max, fallback);
     }
-    return parsed;
+    return value;
 }
 
 } // namespace envutil
+
+template <typename T>
+T
+parseFlagNumber(const std::string &flag, const std::string &text,
+                T min, T max)
+{
+    T value{};
+    if (!parseNumber(text.c_str(), min, max, value)) {
+        std::fprintf(stderr, "%s needs %s in [%.10g, %.10g] (got '%s')\n",
+                     flag.c_str(),
+                     std::is_integral_v<T> ? "an integer"
+                                           : "a finite number",
+                     static_cast<double>(min),
+                     static_cast<double>(max), text.c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
+template int parseFlagNumber(const std::string &, const std::string &,
+                             int, int);
+template long long parseFlagNumber(const std::string &,
+                                   const std::string &, long long,
+                                   long long);
+template double parseFlagNumber(const std::string &,
+                                const std::string &, double, double);
 
 namespace
 {
@@ -83,16 +131,22 @@ dumpStats(const Gpu &gpu, const AccelStats *accel,
     return registry.toJson();
 }
 
+/** True when RenderParams::totalSamples() (width x height x spp,
+ *  each at most INT_MAX) fits an int. */
+bool
+samplesFitInt(const RenderParams &params)
+{
+    long long pixels =
+        static_cast<long long>(params.width) * params.height;
+    return pixels <= INT_MAX &&
+           pixels * params.samplesPerPixel <= INT_MAX;
+}
+
 /** Build and throw the SimulationAborted for an early-stopped run. */
 [[noreturn]] void
-throwAborted(const std::string &id, const Gpu &gpu,
-             const RunOptions &options)
+throwAborted(const std::string &id, const Gpu &gpu)
 {
-    bool cancelled = options.cancelFlag &&
-                     options.cancelFlag->load(
-                         std::memory_order_relaxed);
     const char *reason = gpu.deadlocked() ? "simulator deadlock"
-                         : cancelled      ? "cancelled by watchdog"
                                           : "cycle budget exhausted";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
@@ -100,7 +154,7 @@ throwAborted(const std::string &id, const Gpu &gpu,
                   id.c_str(),
                   static_cast<unsigned long long>(gpu.now()),
                   reason);
-    throw SimulationAborted(buf, cancelled, gpu.now());
+    throw SimulationAborted(buf);
 }
 
 std::shared_ptr<Tracer>
@@ -113,10 +167,10 @@ makeTracer(const RunOptions &options)
 
 /**
  * The simulate-and-collect path every workload family shares: a Gpu
- * set up from @p options (tracer, cycle budget, cancel flag, DRAM
- * bandwidth scale, interval sampler, host profiler), and finish(),
- * which turns the finished Gpu into a WorkloadResult. The families
- * differ only in what they build and launch on gpu in between.
+ * set up from @p options (tracer, cycle budget, DRAM bandwidth
+ * scale, interval sampler, host profiler), and finish(), which turns
+ * the finished Gpu into a WorkloadResult. The families differ only
+ * in what they build and launch on gpu in between.
  */
 struct Simulation
 {
@@ -134,7 +188,6 @@ struct Simulation
           gpu(options.config, options.timelineInterval, tracer.get())
     {
         gpu.setCycleBudget(options.maxCycles);
-        gpu.setCancelFlag(options.cancelFlag);
         if (options.dramBandwidthScale != 1.0) {
             gpu.memSystem().dram().setBandwidthScale(
                 options.dramBandwidthScale);
@@ -162,7 +215,7 @@ struct Simulation
            WorkloadContext *context)
     {
         if (gpu.aborted())
-            throwAborted(id, gpu, options);
+            throwAborted(id, gpu);
         WorkloadResult result;
         {
             PhaseProfiler::Scoped phase(phases, "analysis");
@@ -214,16 +267,24 @@ RunOptions::fromEnv()
     using envutil::readInt;
     RunOptions options;
     bool quick = readInt("LUMI_QUICK", 0, 0) != 0;
-    int res = readInt("LUMI_RES", quick ? 32 : 96);
+    const int default_res = quick ? 32 : 96;
+    const int default_spp = quick ? 1 : 2;
+    int res = readInt("LUMI_RES", default_res);
     options.params.width = res;
     options.params.height = res;
-    options.params.samplesPerPixel = readInt("LUMI_SPP",
-                                             quick ? 1 : 2);
+    options.params.samplesPerPixel = readInt("LUMI_SPP", default_spp);
+    if (!samplesFitInt(options.params)) {
+        std::fprintf(stderr,
+                     "lumi: ignoring LUMI_RES=%d LUMI_SPP=%d (more "
+                     "samples than an int holds); using %d and %d\n",
+                     res, options.params.samplesPerPixel, default_res,
+                     default_spp);
+        options.params.width = default_res;
+        options.params.height = default_res;
+        options.params.samplesPerPixel = default_spp;
+    }
     options.sceneDetail = static_cast<float>(
-        readDouble("LUMI_DETAIL", quick ? 0.25 : 2.0));
-    // 0 = auto (hardware_concurrency); like LUMI_RES/LUMI_SPP, a
-    // malformed value warns and falls back.
-    options.jobs = readInt("LUMI_JOBS", 0);
+        readDouble("LUMI_DETAIL", quick ? 0.25 : 2.0, FLT_MAX));
     if (const char *trace = std::getenv("LUMI_TRACE");
         trace && *trace) {
         options.traceMask = parseTraceCategories(trace);
@@ -238,44 +299,35 @@ bool
 applyRunFlag(RunOptions &options, const std::string &flag,
              const std::string &value)
 {
-    auto intValue = [&](long min) {
-        char *end = nullptr;
-        long parsed = std::strtol(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' || parsed < min) {
+    if (flag == "--res" || flag == "--spp") {
+        RenderParams params = options.params;
+        int n = parseFlagNumber(flag, value, 1);
+        if (flag == "--res")
+            params.width = params.height = n;
+        else
+            params.samplesPerPixel = n;
+        if (!samplesFitInt(params)) {
             std::fprintf(stderr,
-                         "%s needs an integer >= %ld (got '%s')\n",
-                         flag.c_str(), min, value.c_str());
+                         "%s %s makes %dx%d pixels x %d spp, more "
+                         "samples than an int holds\n",
+                         flag.c_str(), value.c_str(), params.width,
+                         params.height, params.samplesPerPixel);
             std::exit(2);
         }
-        return parsed;
-    };
-    if (flag == "--res") {
-        int res = static_cast<int>(intValue(1));
-        options.params.width = res;
-        options.params.height = res;
-        return true;
-    }
-    if (flag == "--spp") {
-        options.params.samplesPerPixel =
-            static_cast<int>(intValue(1));
+        options.params = params;
         return true;
     }
     if (flag == "--detail") {
-        char *end = nullptr;
-        double parsed = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0' ||
-            !(parsed > 0.0)) {
-            std::fprintf(stderr,
-                         "--detail needs a number > 0 (got '%s')\n",
-                         value.c_str());
-            std::exit(2);
-        }
-        options.sceneDetail = static_cast<float>(parsed);
+        // Into a float: positive, and not rounding to infinity.
+        options.sceneDetail =
+            static_cast<float>(parseFlagNumber<double>(
+                flag, value, std::numeric_limits<float>::denorm_min(),
+                FLT_MAX));
         return true;
     }
     if (flag == "--interval-stats") {
         options.intervalStats =
-            static_cast<uint64_t>(intValue(0));
+            static_cast<uint64_t>(parseFlagNumber(flag, value, 0LL));
         return true;
     }
     return false;

@@ -7,7 +7,7 @@
 #ifndef LUMI_LUMIBENCH_RUNNER_HH
 #define LUMI_LUMIBENCH_RUNNER_HH
 
-#include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -39,10 +39,26 @@ namespace envutil
  */
 int readInt(const char *name, int fallback, int min = 1);
 
-/** Strict env-double parse; must be finite and > 0. */
-double readDouble(const char *name, double fallback);
+/**
+ * Strict env-double parse: the whole value must be a finite number
+ * in (0, @p max], otherwise warn on stderr and use @p fallback.
+ */
+double readDouble(const char *name, double fallback,
+                  double max = std::numeric_limits<double>::max());
 
 } // namespace envutil
+
+/**
+ * Strict parse of @p text, the value of CLI flag @p flag, as a T
+ * (int, long long or double): the whole text must be a base-10
+ * integer, or for double a finite number, in [@p min, @p max].
+ * Anything else, a value out of T's range included, prints a message
+ * naming @p flag and exits 2. Every numeric lumibench flag goes
+ * through it; envutil shares its parse.
+ */
+template <typename T>
+T parseFlagNumber(const std::string &flag, const std::string &text,
+                  T min, T max = std::numeric_limits<T>::max());
 
 /** Execution options shared by all benches. */
 struct RunOptions
@@ -79,29 +95,17 @@ struct RunOptions
      */
     bool selfProfile = false;
     /**
-     * Campaign worker count for sweeps going through bench::runAll
-     * or the campaign engine; 0 = hardware_concurrency. Ignored by
-     * single-workload runWorkload/runCompute calls.
-     */
-    int jobs = 0;
-    /**
      * Soft simulated-cycle budget per run; 0 = unlimited. When the
      * clock reaches it, runWorkload/runCompute throw
-     * SimulationAborted instead of returning a partial result.
+     * SimulationAborted instead of returning a partial result. The
+     * only budget a campaign job has.
      */
     uint64_t maxCycles = 0;
-    /**
-     * Optional cooperative cancellation flag (not owned); the sim
-     * stops at the next cycle boundary once it turns true. Used by
-     * the campaign engine's wall-clock watchdog.
-     */
-    const std::atomic<bool> *cancelFlag = nullptr;
 
     /**
      * Bench defaults honoring the environment: LUMI_RES (image edge,
      * default 64), LUMI_SPP, LUMI_DETAIL, LUMI_QUICK=1 for smoke
-     * runs (32x32, low detail), LUMI_JOBS (sweep worker count, 0 =
-     * hardware_concurrency), and LUMI_TRACE (category list, e.g.
+     * runs (32x32, low detail), and LUMI_TRACE (category list, e.g.
      * "sm,rt" or "all") for the event tracer, plus
      * LUMI_INTERVAL_STATS (sampling period, cycles) and
      * LUMI_SELF_PROFILE=1. Malformed values fall back to the
@@ -113,7 +117,9 @@ struct RunOptions
 /**
  * Apply one CLI observability flag to @p options: --res, --spp,
  * --detail, --interval-stats. Returns false when @p flag is not one
- * of these (the caller keeps parsing); a malformed @p value exits 2.
+ * of these (the caller keeps parsing). A malformed @p value, or a
+ * --res/--spp that makes width x height x spp overflow an int,
+ * exits 2.
  *
  * Precedence contract: fromEnv() reads the LUMI_* environment first,
  * then the CLI applies explicit flags on top through this helper —
@@ -125,28 +131,14 @@ bool applyRunFlag(RunOptions &options, const std::string &flag,
 
 /**
  * Thrown by runWorkload/runCompute when a simulation stops early on
- * the RunOptions::maxCycles budget or the cancellation flag. The
+ * the RunOptions::maxCycles budget or a simulator deadlock. The
  * campaign engine maps this to per-job `timeout` status; a partial
  * simulation never masquerades as a finished result.
  */
 class SimulationAborted : public std::runtime_error
 {
   public:
-    SimulationAborted(const std::string &what, bool cancelled,
-                      uint64_t cycles)
-        : std::runtime_error(what), cancelled_(cancelled),
-          cycles_(cycles)
-    {
-    }
-
-    /** True for watchdog cancellation, false for the cycle budget. */
-    bool cancelled() const { return cancelled_; }
-    /** Simulated cycle count at the stop. */
-    uint64_t cycles() const { return cycles_; }
-
-  private:
-    bool cancelled_;
-    uint64_t cycles_;
+    using std::runtime_error::runtime_error;
 };
 
 /** Everything collected from one workload simulation. */

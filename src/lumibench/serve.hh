@@ -27,9 +27,11 @@
  *   /version                     report schema + fingerprint scheme
  *   /index                       index of reports (ReportRef fields)
  *   /stats?workload=...          stat names of first matching entry
- *   /stat?name=S&workload=...    scalar rows (queryStat)
- *   /series?name=S&workload=...  interval time series (querySeries)
- *   /breakdown?workload=...      cycle-account rows (queryBreakdown)
+ *   /stat?name=S&workload=...    scalar rows (ReportStore::stat)
+ *   /series?name=S&workload=...  interval time series
+ *                                (ReportStore::series)
+ *   /breakdown?workload=...      cycle-account rows
+ *                                (ReportStore::breakdown)
  *   /view                        embedded HTML stacked-area view of
  *                                the profile.sm.* series
  *   /report?file=F               raw report JSON, verbatim (400 for

@@ -185,7 +185,6 @@ TEST(Campaign, TransientFailureRetriesThenSucceeds)
     CampaignOptions engine;
     engine.jobs = 2;
     engine.retries = 2;
-    engine.retryBackoffSeconds = 0.0;
     engine.runFn = [&](const Job &job, const RunOptions &options) {
         if (job.id() == "WKND_SH" &&
             wknd_failures.fetch_add(1) == 0)
@@ -211,7 +210,6 @@ TEST(Campaign, PermanentFailureReportsWithoutAborting)
     CampaignOptions engine;
     engine.jobs = 2;
     engine.retries = 1;
-    engine.retryBackoffSeconds = 0.0;
     engine.runFn = [&](const Job &job, const RunOptions &options) {
         if (job.id() == "BUNNY_AO")
             throw std::runtime_error("injected permanent fault");
@@ -239,10 +237,10 @@ TEST(Campaign, PermanentFailureReportsWithoutAborting)
 TEST(Campaign, CycleBudgetCancelsAsTimeout)
 {
     std::vector<Job> jobs = {quickJobs()[0]};
+    jobs[0].options.maxCycles = 50;
     CampaignOptions engine;
     engine.jobs = 1;
     engine.retries = 3; // must NOT be consumed by a timeout
-    engine.jobCycleBudget = 50;
 
     CampaignResult done = runCampaign(jobs, engine);
     ASSERT_EQ(done.outcomes.size(), 1u);
@@ -258,9 +256,9 @@ TEST(Campaign, TimeoutIsNeverCached)
 {
     std::string cache_dir = freshDir("timeout");
     std::vector<Job> jobs = {quickJobs()[0]};
+    jobs[0].options.maxCycles = 50;
     CampaignOptions engine;
     engine.jobs = 1;
-    engine.jobCycleBudget = 50;
     engine.cacheDir = cache_dir;
 
     CampaignResult done = runCampaign(jobs, engine);
@@ -268,7 +266,7 @@ TEST(Campaign, TimeoutIsNeverCached)
     EXPECT_EQ(done.stats.cacheWrites, 0u);
     // The next full-budget campaign must simulate, not hit a stale
     // truncated entry.
-    engine.jobCycleBudget = 0;
+    jobs[0].options.maxCycles = 0;
     CampaignResult full = runCampaign(jobs, engine);
     EXPECT_EQ(full.outcomes[0].status, JobStatus::Ok);
     std::filesystem::remove_all(cache_dir);
@@ -326,16 +324,14 @@ TEST(Campaign, ResolveWorkerCount)
 TEST(Campaign, FromEnvParsesJobsWithFallback)
 {
     ::setenv("LUMI_JOBS", "7", 1);
-    EXPECT_EQ(RunOptions::fromEnv().jobs, 7);
     EXPECT_EQ(CampaignOptions::fromEnv().jobs, 7);
 
     // Malformed values warn and fall back, like LUMI_RES/LUMI_SPP.
     ::setenv("LUMI_JOBS", "banana", 1);
-    EXPECT_EQ(RunOptions::fromEnv().jobs, 0);
     EXPECT_EQ(CampaignOptions::fromEnv().jobs, 0);
 
     ::unsetenv("LUMI_JOBS");
-    EXPECT_EQ(RunOptions::fromEnv().jobs, 0);
+    EXPECT_EQ(CampaignOptions::fromEnv().jobs, 0);
 
     ::setenv("LUMI_RETRIES", "3", 1);
     EXPECT_EQ(CampaignOptions::fromEnv().retries, 3);
@@ -358,7 +354,6 @@ TEST(Campaign, EventLogRecordsLifecycle)
     CampaignOptions engine;
     engine.jobs = 2;
     engine.retries = 1;
-    engine.retryBackoffSeconds = 0.0;
     engine.eventLogPath = log_path;
     engine.runFn = [&](const Job &job, const RunOptions &options) {
         if (job.id() == "WKND_SH" &&

@@ -104,11 +104,16 @@ TEST(RunFlags, CliFlagsWinOverEnvironment)
     ::setenv("LUMI_SPP", "3", 1);
     ::setenv("LUMI_INTERVAL_STATS", "123", 1);
     ::setenv("LUMI_SELF_PROFILE", "1", 1);
+    // A non-finite detail warns and falls back to the default: it
+    // would be recorded as null and never match a cache entry.
+    const float default_detail = RunOptions::fromEnv().sceneDetail;
+    ::setenv("LUMI_DETAIL", "inf", 1);
     RunOptions options = RunOptions::fromEnv();
     EXPECT_EQ(options.params.width, 64);
     EXPECT_EQ(options.params.samplesPerPixel, 3);
     EXPECT_EQ(options.intervalStats, 123u);
     EXPECT_TRUE(options.selfProfile);
+    EXPECT_FLOAT_EQ(options.sceneDetail, default_detail);
 
     // ...and a CLI flag applied on top always wins. The CLI calls
     // fromEnv() first and applyRunFlag() per flag, so this ordering
@@ -130,6 +135,24 @@ TEST(RunFlags, CliFlagsWinOverEnvironment)
     ::unsetenv("LUMI_SPP");
     ::unsetenv("LUMI_INTERVAL_STATS");
     ::unsetenv("LUMI_SELF_PROFILE");
+    ::unsetenv("LUMI_DETAIL");
+}
+
+TEST(RunFlags, OutOfRangeEnvironmentFallsBack)
+{
+    // A detail past a float's range, and a LUMI_RES x LUMI_SPP past
+    // the int of RenderParams::totalSamples(), warn and fall back.
+    const RunOptions defaults = RunOptions::fromEnv();
+    ::setenv("LUMI_DETAIL", "1e39", 1);
+    ::setenv("LUMI_RES", "50000", 1);
+    RunOptions options = RunOptions::fromEnv();
+    EXPECT_FLOAT_EQ(options.sceneDetail, defaults.sceneDetail);
+    EXPECT_EQ(options.params.width, defaults.params.width);
+    EXPECT_EQ(options.params.height, defaults.params.height);
+    EXPECT_EQ(options.params.samplesPerPixel,
+              defaults.params.samplesPerPixel);
+    ::unsetenv("LUMI_DETAIL");
+    ::unsetenv("LUMI_RES");
 }
 
 TEST(QueryFilter, ParsesKnownTermsOnly)
@@ -220,9 +243,9 @@ TEST(Query, BreakdownRowsAreConservedShares)
     WorkloadResult bunny;
     RunOptions options;
     writeSampleReports(dir, bunny, options);
+    query::ReportStore store(dir);
 
-    std::vector<query::BreakdownRow> rows =
-        query::queryBreakdown(dir, {});
+    std::vector<query::BreakdownRow> rows = store.breakdown({});
     ASSERT_EQ(rows.size(), 2u);
     // Sorted file-name order: a_ref.json before b_bunny.json.
     EXPECT_EQ(rows[0].workload, "REF_SH");
@@ -252,11 +275,10 @@ TEST(Query, BreakdownRowsAreConservedShares)
     // Filters narrow by workload glob and by scene.
     query::QueryFilter bunny_only;
     ASSERT_TRUE(bunny_only.add("workload=BUNNY*"));
-    EXPECT_EQ(query::queryBreakdown(dir, bunny_only).size(), 1u);
+    EXPECT_EQ(store.breakdown(bunny_only).size(), 1u);
     query::QueryFilter ref_scene;
     ASSERT_TRUE(ref_scene.add("scene=REF"));
-    std::vector<query::BreakdownRow> ref_rows =
-        query::queryBreakdown(dir, ref_scene);
+    std::vector<query::BreakdownRow> ref_rows = store.breakdown(ref_scene);
     ASSERT_EQ(ref_rows.size(), 1u);
     EXPECT_EQ(ref_rows[0].workload, "REF_SH");
     std::filesystem::remove_all(dir);
@@ -268,6 +290,7 @@ TEST(Query, IndexAndStatLookup)
     WorkloadResult bunny;
     RunOptions options;
     writeSampleReports(dir, bunny, options);
+    query::ReportStore store(dir);
 
     query::ReportIndex index = query::ReportIndex::scan(dir);
     ASSERT_EQ(index.reports.size(), 2u);
@@ -281,8 +304,7 @@ TEST(Query, IndexAndStatLookup)
 
     query::QueryFilter filter;
     ASSERT_TRUE(filter.add("workload=BUNNY_AO"));
-    std::vector<query::StatRow> rows =
-        query::queryStat(dir, "gpu.cycles", filter);
+    std::vector<query::StatRow> rows = store.stat("gpu.cycles", filter);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].workload, "BUNNY_AO");
     // Integer counters come back with the exact source token.
@@ -291,31 +313,26 @@ TEST(Query, IndexAndStatLookup)
 
     // Derived metrics resolve through the metrics object.
     std::vector<query::StatRow> metric_rows =
-        query::queryStat(dir, "ipc_thread", filter);
+        store.stat("ipc_thread", filter);
     ASSERT_EQ(metric_rows.size(), 1u);
     EXPECT_GT(metric_rows[0].value, 0.0);
 
     // An unfiltered query sees both reports.
-    EXPECT_EQ(query::queryStat(dir, "gpu.cycles", {}).size(),
-              2u);
+    EXPECT_EQ(store.stat("gpu.cycles", {}).size(), 2u);
 
     // Glob filters select workload families over real reports.
     query::QueryFilter glob;
     ASSERT_TRUE(glob.add("workload=*_AO"));
-    std::vector<query::StatRow> glob_rows =
-        query::queryStat(dir, "gpu.cycles", glob);
+    std::vector<query::StatRow> glob_rows = store.stat("gpu.cycles", glob);
     ASSERT_EQ(glob_rows.size(), 1u);
     EXPECT_EQ(glob_rows[0].workload, "BUNNY_AO");
     query::QueryFilter bare;
     ASSERT_TRUE(bare.add("workload=BUNNY"));
-    EXPECT_TRUE(
-        query::queryStat(dir, "gpu.cycles", bare).empty());
-    EXPECT_TRUE(
-        query::queryStat(dir, "no.such.stat", {}).empty());
+    EXPECT_TRUE(store.stat("gpu.cycles", bare).empty());
+    EXPECT_TRUE(store.stat("no.such.stat", {}).empty());
 
-    // listStats covers both namespaces.
-    std::vector<std::string> names =
-        query::listStats(dir, filter);
+    // statNames covers both namespaces.
+    std::vector<std::string> names = store.statNames(filter);
     EXPECT_NE(std::find(names.begin(), names.end(), "gpu.cycles"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "ipc_thread"),
@@ -329,11 +346,12 @@ TEST(Query, SeriesDeltasSumToFinalValue)
     WorkloadResult bunny;
     RunOptions options;
     writeSampleReports(dir, bunny, options);
+    query::ReportStore store(dir);
 
     query::QueryFilter filter;
     ASSERT_TRUE(filter.add("workload=BUNNY_AO"));
     std::vector<query::SeriesResult> results =
-        query::querySeries(dir, "rt.rays_traced", filter);
+        store.series("rt.rays_traced", filter);
     ASSERT_EQ(results.size(), 1u);
     const query::SeriesResult &series = results[0];
     EXPECT_EQ(series.interval, 500u);
@@ -348,8 +366,7 @@ TEST(Query, SeriesDeltasSumToFinalValue)
     EXPECT_EQ(series.values.back(), bunny.stats.raysTraced);
     EXPECT_EQ(series.cycles.back(), bunny.stats.cycles);
 
-    EXPECT_TRUE(
-        query::querySeries(dir, "no.such.stat", filter).empty());
+    EXPECT_TRUE(store.series("no.such.stat", filter).empty());
     std::filesystem::remove_all(dir);
 }
 

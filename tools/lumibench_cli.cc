@@ -38,7 +38,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -114,29 +114,29 @@ perWorkloadPath(const std::string &path,
     return out;
 }
 
-Workload
-parseWorkload(const std::string &id, bool &ok)
+/** @p ok, with a message on stderr when the write of @p path failed. */
+bool
+wrote(bool ok, const std::string &path)
 {
-    ok = false;
-    for (const Workload &w : allWorkloads()) {
-        if (w.id() == id) {
-            ok = true;
-            return w;
+    if (!ok)
+        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return ok;
+}
+
+/** The workload named @p id; exits 2 naming it when there is none. */
+Workload
+parseWorkload(const std::string &id)
+{
+    for (const std::vector<Workload> &family :
+         {allWorkloads(), gameWorkloads(), rtqWorkloads()}) {
+        for (const Workload &w : family) {
+            if (w.id() == id)
+                return w;
         }
     }
-    for (const Workload &w : gameWorkloads()) {
-        if (w.id() == id) {
-            ok = true;
-            return w;
-        }
-    }
-    for (const Workload &w : rtqWorkloads()) {
-        if (w.id() == id) {
-            ok = true;
-            return w;
-        }
-    }
-    return {SceneId::BUNNY, ShaderKind::AmbientOcclusion};
+    std::fprintf(stderr, "unknown workload '%s' (see 'lumibench list')\n",
+                 id.c_str());
+    std::exit(2);
 }
 
 /** The GpuConfig preset named @p name; exits 2 on an unknown name. */
@@ -154,6 +154,86 @@ parseConfig(const std::string &name)
                  "table4)\n",
                  name.c_str());
     std::exit(2);
+}
+
+/**
+ * A cursor over one command's arguments: next() steps to the next
+ * flag, value() takes that flag's operand and number() parses it
+ * through parseFlagNumber. A missing operand or an unknown flag
+ * exits 2 with a message naming the flag.
+ */
+struct ArgCursor
+{
+    const std::vector<std::string> &args;
+    size_t at = 0;
+    std::string flag{};
+
+    /** Step to the next flag; false when none is left. */
+    bool
+    next()
+    {
+        if (at >= args.size())
+            return false;
+        flag = args[at++];
+        return true;
+    }
+
+    /** The current flag's operand. */
+    std::string
+    value()
+    {
+        if (at >= args.size()) {
+            std::fprintf(stderr, "%s needs a value\n", flag.c_str());
+            std::exit(2);
+        }
+        return args[at++];
+    }
+
+    /** The current flag's operand as a T in [@p min, @p max]. */
+    template <typename T>
+    T
+    number(T min, T max = std::numeric_limits<T>::max())
+    {
+        return parseFlagNumber(flag, value(), min, max);
+    }
+
+    [[noreturn]] void
+    unknown() const
+    {
+        std::fprintf(stderr, "unknown option %s\n", flag.c_str());
+        std::exit(2);
+    }
+};
+
+/**
+ * Consume one flag that run and campaign share: a workload selection
+ * (--subset, --all, --workload ID; each appends to @p workloads) or
+ * an observability flag (--res, --spp, --detail, --interval-stats,
+ * --self-profile) applied to @p options. False when the current flag
+ * is neither.
+ */
+bool
+parseRunFlag(ArgCursor &args, std::vector<Workload> &workloads,
+             RunOptions &options)
+{
+    const std::string &flag = args.flag;
+    if (flag == "--subset" || flag == "--all") {
+        std::vector<Workload> picked = flag == "--all"
+                                           ? allWorkloads()
+                                           : representativeSubset();
+        workloads.insert(workloads.end(), picked.begin(),
+                         picked.end());
+    } else if (flag == "--workload") {
+        workloads.push_back(parseWorkload(args.value()));
+    } else if (flag == "--self-profile") {
+        options.selfProfile = true;
+    } else if (flag == "--res" || flag == "--spp" ||
+               flag == "--detail" || flag == "--interval-stats") {
+        applyRunFlag(options, flag, args.value());
+    } else {
+        return false;
+    }
+    return true;
 }
 
 int
@@ -198,64 +278,31 @@ cmdRun(const std::vector<std::string> &args)
     std::string stats_path;
     std::string report_path;
 
-    for (size_t i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        auto next = [&](const char *flag) -> std::string {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return args[++i];
-        };
-        if (arg == "--subset") {
-            for (const Workload &w : representativeSubset())
-                workloads.push_back(w);
-        } else if (arg == "--all") {
-            for (const Workload &w : allWorkloads())
-                workloads.push_back(w);
-        } else if (arg == "--workload") {
-            std::string id = next("--workload");
-            bool ok = false;
-            Workload w = parseWorkload(id, ok);
-            if (!ok) {
-                std::fprintf(stderr,
-                             "unknown workload '%s' (see "
-                             "'lumibench list')\n",
-                             id.c_str());
-                return 2;
-            }
-            workloads.push_back(w);
-        } else if (arg == "--config") {
-            options.config = parseConfig(next("--config"));
-        } else if (arg == "--csv") {
-            csv_path = next("--csv");
-        } else if (arg == "--ppm-dir") {
-            ppm_dir = next("--ppm-dir");
-        } else if (arg == "--timeline-dir") {
-            timeline_dir = next("--timeline-dir");
-        } else if (arg == "--trace") {
-            trace_path = next("--trace");
-        } else if (arg == "--trace-categories") {
-            trace_categories = next("--trace-categories");
-        } else if (arg == "--stats-json") {
-            stats_path = next("--stats-json");
-        } else if (arg == "--report") {
-            report_path = next("--report");
-        } else if (arg == "--self-profile") {
-            options.selfProfile = true;
-        } else if (arg == "--res" || arg == "--spp" ||
-                   arg == "--detail" ||
-                   arg == "--interval-stats") {
-            applyRunFlag(options, arg, next(arg.c_str()));
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
-        }
+    for (ArgCursor arg{args}; arg.next();) {
+        const std::string &flag = arg.flag;
+        if (parseRunFlag(arg, workloads, options))
+            continue;
+        if (flag == "--config")
+            options.config = parseConfig(arg.value());
+        else if (flag == "--csv")
+            csv_path = arg.value();
+        else if (flag == "--ppm-dir")
+            ppm_dir = arg.value();
+        else if (flag == "--timeline-dir")
+            timeline_dir = arg.value();
+        else if (flag == "--trace")
+            trace_path = arg.value();
+        else if (flag == "--trace-categories")
+            trace_categories = arg.value();
+        else if (flag == "--stats-json")
+            stats_path = arg.value();
+        else if (flag == "--report")
+            report_path = arg.value();
+        else
+            arg.unknown();
     }
-    if (workloads.empty()) {
-        for (const Workload &w : representativeSubset())
-            workloads.push_back(w);
-    }
+    if (workloads.empty())
+        workloads = representativeSubset();
     if (!trace_path.empty()) {
         // Precedence: an explicit --trace-categories always wins; a
         // LUMI_TRACE selection from fromEnv() is honored otherwise;
@@ -292,22 +339,17 @@ cmdRun(const std::vector<std::string> &args)
         // Query workloads render no image, so they write no PPM.
         if (!ppm_dir.empty() && !result.framebuffer.empty()) {
             std::string path = ppm_dir + "/" + result.id + ".ppm";
-            if (!writePpm(path, result.framebuffer,
-                          options.params.width,
-                          options.params.height)) {
-                std::fprintf(stderr, "failed to write %s\n",
-                             path.c_str());
+            if (!wrote(writePpm(path, result.framebuffer,
+                                options.params.width,
+                                options.params.height),
+                       path))
                 return 1;
-            }
         }
         if (!timeline_dir.empty()) {
             std::string path = timeline_dir + "/" + result.id +
                                ".csv";
-            if (!writeTimelineCsv(path, result.timeline)) {
-                std::fprintf(stderr, "failed to write %s\n",
-                             path.c_str());
+            if (!wrote(writeTimelineCsv(path, result.timeline), path))
                 return 1;
-            }
         }
         rows.push_back(result.metrics);
         table.addRow({result.id, std::to_string(result.stats.cycles),
@@ -319,59 +361,29 @@ cmdRun(const std::vector<std::string> &args)
         if (!trace_path.empty() && result.trace) {
             std::string path = perWorkloadPath(trace_path,
                                                result.id);
-            if (!result.trace->writeChromeTrace(path)) {
-                std::fprintf(stderr, "failed to write %s\n",
-                             path.c_str());
+            if (!wrote(result.trace->writeChromeTrace(path), path))
                 return 1;
-            }
         }
         if (!stats_path.empty()) {
             std::string path = perWorkloadPath(stats_path,
                                                result.id);
-            FILE *file = std::fopen(path.c_str(), "w");
-            bool ok = file != nullptr;
-            if (ok && std::fputs(result.statsJson.c_str(),
-                                 file) == EOF)
-                ok = false;
-            if (file && std::fclose(file) != 0)
-                ok = false;
-            if (!ok) {
-                std::fprintf(stderr, "failed to write %s\n",
-                             path.c_str());
+            if (!wrote(writeWholeFile(path, result.statsJson), path))
                 return 1;
-            }
         }
         if (!report_path.empty())
             results.push_back(std::move(result));
     }
     writeCsv(csv_path, rows);
     if (!report_path.empty() &&
-        !writeRunReport(report_path, results, options)) {
-        std::fprintf(stderr, "failed to write %s\n",
-                     report_path.c_str());
+        !wrote(writeRunReport(report_path, results, options),
+               report_path))
         return 1;
-    }
     std::printf("%s\n", table.render().c_str());
     std::printf("Simulation complete! wrote %s (%zu workloads x %zu "
                 "metrics)\n",
                 csv_path.c_str(), rows.size(),
                 metricSchema().size());
     return 0;
-}
-
-/** Strict non-negative integer flag value; exits on junk. */
-int
-parseIntFlag(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    long value = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || value < 0) {
-        std::fprintf(stderr, "%s needs a non-negative integer "
-                             "(got '%s')\n",
-                     flag, text.c_str());
-        std::exit(2);
-    }
-    return static_cast<int>(value);
 }
 
 int
@@ -388,78 +400,33 @@ cmdCampaign(const std::vector<std::string> &args)
     std::string manifest_path = "campaign.json";
     std::string trace_path;
 
-    for (size_t i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        auto next = [&](const char *flag) -> std::string {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return args[++i];
-        };
-        if (arg == "--subset") {
-            for (const Workload &w : representativeSubset())
-                workloads.push_back(w);
-        } else if (arg == "--all") {
-            for (const Workload &w : allWorkloads())
-                workloads.push_back(w);
-        } else if (arg == "--compute") {
+    for (ArgCursor arg{args}; arg.next();) {
+        const std::string &flag = arg.flag;
+        if (parseRunFlag(arg, workloads, base))
+            continue;
+        if (flag == "--compute")
             compute = true;
-        } else if (arg == "--workload") {
-            std::string id = next("--workload");
-            bool ok = false;
-            Workload w = parseWorkload(id, ok);
-            if (!ok) {
-                std::fprintf(stderr,
-                             "unknown workload '%s' (see "
-                             "'lumibench list')\n",
-                             id.c_str());
-                return 2;
-            }
-            workloads.push_back(w);
-        } else if (arg == "--config") {
-            configs.push_back(next("--config"));
-        } else if (arg == "--jobs") {
-            engine.jobs = parseIntFlag("--jobs", next("--jobs"));
-        } else if (arg == "--retries") {
-            engine.retries = parseIntFlag("--retries",
-                                          next("--retries"));
-        } else if (arg == "--cache-dir") {
-            engine.cacheDir = next("--cache-dir");
-        } else if (arg == "--manifest") {
-            manifest_path = next("--manifest");
-        } else if (arg == "--trace") {
-            trace_path = next("--trace");
-        } else if (arg == "--event-log") {
-            engine.eventLogPath = next("--event-log");
-        } else if (arg == "--heartbeat") {
-            std::string text = next("--heartbeat");
-            char *end = nullptr;
-            double parsed = std::strtod(text.c_str(), &end);
-            if (end == text.c_str() || *end != '\0' ||
-                parsed < 0.0) {
-                std::fprintf(stderr,
-                             "--heartbeat needs seconds >= 0 "
-                             "(got '%s')\n",
-                             text.c_str());
-                return 2;
-            }
-            engine.heartbeatSeconds = parsed;
-        } else if (arg == "--self-profile") {
-            base.selfProfile = true;
-        } else if (arg == "--res" || arg == "--spp" ||
-                   arg == "--detail" ||
-                   arg == "--interval-stats") {
-            applyRunFlag(base, arg, next(arg.c_str()));
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
-        }
+        else if (flag == "--config")
+            configs.push_back(arg.value());
+        else if (flag == "--jobs")
+            engine.jobs = arg.number(0);
+        else if (flag == "--retries")
+            engine.retries = arg.number(0);
+        else if (flag == "--cache-dir")
+            engine.cacheDir = arg.value();
+        else if (flag == "--manifest")
+            manifest_path = arg.value();
+        else if (flag == "--trace")
+            trace_path = arg.value();
+        else if (flag == "--event-log")
+            engine.eventLogPath = arg.value();
+        else if (flag == "--heartbeat")
+            engine.heartbeatSeconds = arg.number(0.0);
+        else
+            arg.unknown();
     }
-    if (workloads.empty() && !compute) {
-        for (const Workload &w : representativeSubset())
-            workloads.push_back(w);
-    }
+    if (workloads.empty() && !compute)
+        workloads = representativeSubset();
     if (configs.empty())
         configs.push_back("mobile");
 
@@ -544,19 +511,7 @@ cmdCampaign(const std::vector<std::string> &args)
             const WorkloadResult &result = outcome.result;
             json.key("cycles");
             json.value(result.stats.cycles);
-            json.key("phases");
-            json.beginArray();
-            for (const PhaseTiming &phase : result.phases) {
-                json.beginObject();
-                json.key("name");
-                json.value(phase.name);
-                json.key("seconds");
-                json.value(phase.seconds);
-                json.key("count");
-                json.value(phase.count);
-                json.endObject();
-            }
-            json.endArray();
+            writePhasesJson(json, result.phases);
             if (!result.statsJson.empty()) {
                 json.key("stats");
                 json.raw(result.statsJson);
@@ -569,23 +524,11 @@ cmdCampaign(const std::vector<std::string> &args)
     json.raw(registry.toJson());
     json.endObject();
 
-    FILE *file = std::fopen(manifest_path.c_str(), "w");
-    bool wrote = file != nullptr;
-    if (wrote && std::fputs(json.str().c_str(), file) == EOF)
-        wrote = false;
-    if (file && std::fclose(file) != 0)
-        wrote = false;
-    if (!wrote) {
-        std::fprintf(stderr, "failed to write %s\n",
-                     manifest_path.c_str());
+    if (!wrote(writeWholeFile(manifest_path, json.str()),
+               manifest_path) ||
+        (!trace_path.empty() &&
+         !wrote(tracer.writeChromeTrace(trace_path), trace_path)))
         return 1;
-    }
-    if (!trace_path.empty() &&
-        !tracer.writeChromeTrace(trace_path)) {
-        std::fprintf(stderr, "failed to write %s\n",
-                     trace_path.c_str());
-        return 1;
-    }
 
     std::printf("campaign: %llu ok, %llu cached, %llu failed, "
                 "%llu timeout (%llu retries) in %.2fs on %d "
@@ -600,16 +543,22 @@ cmdCampaign(const std::vector<std::string> &args)
     return done.allOk() ? 0 : 1;
 }
 
-/** Report directory: flag value, else LUMI_CACHE_DIR. */
+/**
+ * Report directory of @p command: the flag value, else
+ * LUMI_CACHE_DIR; exits 2 when neither is set.
+ */
 std::string
-reportDir(const std::string &flag_value)
+reportDir(const char *command, const std::string &flag_value)
 {
     if (!flag_value.empty())
         return flag_value;
     if (const char *dir = std::getenv("LUMI_CACHE_DIR");
         dir && *dir)
         return dir;
-    return "";
+    std::fprintf(stderr, "%s needs --cache-dir DIR (or "
+                         "LUMI_CACHE_DIR)\n",
+                 command);
+    std::exit(2);
 }
 
 int
@@ -623,29 +572,22 @@ cmdQuery(const std::vector<std::string> &args)
     bool as_json = false;
     query::QueryFilter filter;
 
-    for (size_t i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        auto next = [&](const char *flag) -> std::string {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return args[++i];
-        };
-        if (arg == "--cache-dir" || arg == "--dir") {
-            dir = next(arg.c_str());
-        } else if (arg == "--stat") {
-            stat = next("--stat");
-        } else if (arg == "--series") {
+    for (ArgCursor arg{args}; arg.next();) {
+        const std::string &flag = arg.flag;
+        if (flag == "--cache-dir" || flag == "--dir") {
+            dir = arg.value();
+        } else if (flag == "--stat") {
+            stat = arg.value();
+        } else if (flag == "--series") {
             series = true;
-        } else if (arg == "--list-stats") {
+        } else if (flag == "--list-stats") {
             list_stats = true;
-        } else if (arg == "--breakdown") {
+        } else if (flag == "--breakdown") {
             breakdown = true;
-        } else if (arg == "--json") {
+        } else if (flag == "--json") {
             as_json = true;
-        } else if (arg == "--where") {
-            std::string term = next("--where");
+        } else if (flag == "--where") {
+            std::string term = arg.value();
             if (!filter.add(term)) {
                 std::fprintf(stderr,
                              "--where needs KEY=VALUE with a known "
@@ -654,31 +596,28 @@ cmdQuery(const std::vector<std::string> &args)
                 return 2;
             }
         } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
+            arg.unknown();
         }
     }
 
-    dir = reportDir(dir);
-    if (dir.empty()) {
-        std::fprintf(stderr, "query needs --cache-dir DIR (or "
-                             "LUMI_CACHE_DIR)\n");
-        return 2;
-    }
-    if (query::ReportIndex::scan(dir).empty()) {
+    dir = reportDir("query", dir);
+    // One store answers both the emptiness check and the query, so
+    // the directory is indexed once.
+    query::ReportStore store(dir);
+    if (store.index().empty()) {
         std::fprintf(stderr, "no run reports under %s\n",
                      dir.c_str());
         return 1;
     }
 
     if (list_stats) {
-        for (const std::string &name : query::listStats(dir, filter))
+        for (const std::string &name : store.statNames(filter))
             std::printf("%s\n", name.c_str());
         return 0;
     }
     if (breakdown) {
         std::vector<query::BreakdownRow> rows =
-            query::queryBreakdown(dir, filter);
+            store.breakdown(filter);
         if (rows.empty()) {
             std::fprintf(stderr,
                          "no profile.* buckets matched (reports "
@@ -733,7 +672,7 @@ cmdQuery(const std::vector<std::string> &args)
 
     if (series) {
         std::vector<query::SeriesResult> results =
-            query::querySeries(dir, stat, filter);
+            store.series(stat, filter);
         if (results.empty()) {
             std::fprintf(stderr,
                          "no interval series for '%s' (was the run "
@@ -768,8 +707,7 @@ cmdQuery(const std::vector<std::string> &args)
         return 0;
     }
 
-    std::vector<query::StatRow> rows =
-        query::queryStat(dir, stat, filter);
+    std::vector<query::StatRow> rows = store.stat(stat, filter);
     if (rows.empty()) {
         std::fprintf(stderr, "no values for '%s'\n", stat.c_str());
         return 1;
@@ -792,34 +730,19 @@ cmdServe(const std::vector<std::string> &args)
     int port = 8090;
     int max_requests = 0;
 
-    for (size_t i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        auto next = [&](const char *flag) -> std::string {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return args[++i];
-        };
-        if (arg == "--cache-dir" || arg == "--dir") {
-            dir = next(arg.c_str());
-        } else if (arg == "--port") {
-            port = parseIntFlag("--port", next("--port"));
-        } else if (arg == "--max-requests") {
-            max_requests = parseIntFlag("--max-requests",
-                                        next("--max-requests"));
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
-        }
+    for (ArgCursor arg{args}; arg.next();) {
+        const std::string &flag = arg.flag;
+        if (flag == "--cache-dir" || flag == "--dir")
+            dir = arg.value();
+        else if (flag == "--port")
+            port = arg.number(0, 65535);
+        else if (flag == "--max-requests")
+            max_requests = arg.number(0);
+        else
+            arg.unknown();
     }
 
-    dir = reportDir(dir);
-    if (dir.empty()) {
-        std::fprintf(stderr, "serve needs --cache-dir DIR (or "
-                             "LUMI_CACHE_DIR)\n");
-        return 2;
-    }
+    dir = reportDir("serve", dir);
     query::ReportServer server(dir);
     if (!server.bind(port))
         return 1;
