@@ -1,119 +1,25 @@
 /**
  * @file
- * Memory-system microbenchmarks and the MSHR backpressure sweep.
+ * The MSHR backpressure sweep: renders BUNNY_AO on the Table 4
+ * config while shrinking the L1 MSHR file (64/16/4/1), printing IPC
+ * and mem.mshr_full_stalls per point. Finite MSHRs must cost
+ * performance monotonically; CI asserts exactly that on this output.
  *
- * Two halves share this binary:
- *
- *  - Google-benchmark microbenchmarks for the substrate hot loops
- *    (cache probe/fill throughput, DRAM scheduling cost, MemSystem
- *    issue path);
- *  - a characterization sweep that renders BUNNY_AO on the Table 4
- *    config while shrinking the L1 MSHR file (64/16/4/1), printing
- *    IPC and mem.mshr_full_stalls per point. Finite MSHRs must cost
- *    performance monotonically; CI asserts exactly that on this
- *    output.
- *
- * Flags: --sweep-only runs just the sweep (what CI uses),
- * --no-sweep runs just the microbenchmarks. Sweep points go through
- * the campaign engine, so LUMI_JOBS / LUMI_CACHE_DIR / LUMI_RES
- * apply as in every other bench.
+ * Sweep points go through the campaign engine, so LUMI_JOBS /
+ * LUMI_CACHE_DIR / LUMI_RES apply as in every other bench.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <cstring>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "gpu/address_space.hh"
-#include "gpu/cache.hh"
-#include "gpu/config.hh"
-#include "gpu/dram.hh"
-#include "gpu/mem_system.hh"
-#include "math/rng.hh"
 #include "trace/json_read.hh"
 
 namespace
 {
 
 using namespace lumi;
-
-void
-BM_CacheProbe(benchmark::State &state)
-{
-    GpuConfig config;
-    Cache cache(config.l1SizeBytes, config.l1LineBytes,
-                static_cast<uint32_t>(state.range(0)),
-                config.l1Latency);
-    Rng rng(1);
-    uint64_t cycle = 0;
-    // Working set 4x the cache: a steady miss/evict mix.
-    uint64_t lines = 4ull * config.l1SizeBytes / config.l1LineBytes;
-    for (auto _ : state) {
-        uint64_t addr = (rng.nextU32() % lines) * config.l1LineBytes;
-        CacheProbe probe = cache.probe(addr, cycle);
-        if (probe.outcome == CacheProbe::Outcome::Miss)
-            cache.fill(addr, cycle, cycle + 300);
-        cycle++;
-        benchmark::DoNotOptimize(probe.outcome);
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(state.range(0) == 0 ? "fully-assoc" : "set-assoc");
-}
-BENCHMARK(BM_CacheProbe)->Arg(0)->Arg(16);
-
-void
-BM_DramAccess(benchmark::State &state)
-{
-    GpuConfig config;
-    Dram dram(config);
-    Rng rng(2);
-    uint64_t cycle = 0;
-    bool sequential = state.range(0) != 0;
-    uint64_t next = 0;
-    for (auto _ : state) {
-        uint64_t addr = sequential
-                            ? (next += 128)
-                            : (rng.nextU32() % (1 << 20)) * 128ull;
-        Dram::Result result = dram.read(addr, cycle, 128);
-        cycle += 4;
-        benchmark::DoNotOptimize(result.readyCycle);
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(sequential ? "sequential" : "random");
-}
-BENCHMARK(BM_DramAccess)->Arg(1)->Arg(0);
-
-void
-BM_MemSystemIssue(benchmark::State &state)
-{
-    // arg 0: unlimited resources (oracle-parity path);
-    // arg 1: Table 4 finite MSHRs/ports (gating + drain path).
-    GpuConfig config = state.range(0) != 0 ? GpuConfig::table4()
-                                           : GpuConfig();
-    AddressSpace space;
-    uint64_t base = space.allocate(DataKind::Compute, 64ull << 20,
-                                   "buf");
-    MemSystem mem(config, space);
-    Rng rng(3);
-    uint64_t cycle = 0;
-    for (auto _ : state) {
-        MemRequest req;
-        req.sm = 0;
-        req.cycle = cycle;
-        req.addr = base + (rng.nextU32() % (1 << 18)) * 128ull;
-        req.bytes = 32;
-        req.rt = false;
-        MemIssue issue = mem.issueRead(req);
-        cycle += 2;
-        benchmark::DoNotOptimize(issue.readyCycle);
-    }
-    mem.drainAll();
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(state.range(0) != 0 ? "table4" : "unlimited");
-}
-BENCHMARK(BM_MemSystemIssue)->Arg(0)->Arg(1);
 
 /** mem.* counter out of a result's flat stat-registry dump. */
 uint64_t
@@ -200,32 +106,7 @@ runMshrSweep()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool sweep_only = false;
-    bool no_sweep = false;
-    // Strip our flags before google-benchmark sees the arg vector.
-    int out = 1;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--sweep-only") == 0)
-            sweep_only = true;
-        else if (std::strcmp(argv[i], "--no-sweep") == 0)
-            no_sweep = true;
-        else
-            argv[out++] = argv[i];
-    }
-    argc = out;
-
-    if (!no_sweep) {
-        int rc = runMshrSweep();
-        if (rc != 0 || sweep_only)
-            return rc;
-    }
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return runMshrSweep();
 }

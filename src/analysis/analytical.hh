@@ -33,6 +33,22 @@ struct AnalyticalModel
     double predictedCycles = 0.0;
     double predictedIpc = 0.0;
     double measuredIpc = 0.0;
+
+    /** Run-report field list: @p visit(key, field). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("mwp", self.mwp);
+        visit("cwp", self.cwp);
+        visit("mem_latency", self.memLatency);
+        visit("comp_cycles_per_warp", self.compCyclesPerWarp);
+        visit("mem_instr_per_warp", self.memInstrPerWarp);
+        visit("reported_launch_cycles", self.reportedLaunchCycles);
+        visit("predicted_cycles", self.predictedCycles);
+        visit("predicted_ipc", self.predictedIpc);
+        visit("measured_ipc", self.measuredIpc);
+    }
 };
 
 /**

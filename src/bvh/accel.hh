@@ -58,6 +58,25 @@ struct AccelStats
     int totalDepth = 0;
     double avgSiblingOverlap = 0.0;
     size_t memoryFootprintBytes = 0;
+
+    /** Field list of the accel.* stats: @p visit(name, field). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("unique_triangles", self.uniqueTriangles);
+        visit("unique_procedural_prims", self.uniqueProceduralPrims);
+        visit("instances", self.instances);
+        visit("instanced_primitives", self.instancedPrimitives);
+        visit("blas_count", self.blasCount);
+        visit("blas_nodes", self.blasNodes);
+        visit("tlas_nodes", self.tlasNodes);
+        visit("tlas_depth", self.tlasDepth);
+        visit("max_blas_depth", self.maxBlasDepth);
+        visit("total_depth", self.totalDepth);
+        visit("avg_sibling_overlap", self.avgSiblingOverlap);
+        visit("memory_footprint_bytes", self.memoryFootprintBytes);
+    }
 };
 
 /**

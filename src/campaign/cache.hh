@@ -11,16 +11,16 @@
  *
  * where the param hash covers the render parameters (resolution,
  * samples, depth/ray knobs, seed), scene detail, DRAM bandwidth
- * scale and the timeline interval. Two cache entries with the same
- * name simulated the same point; anything that could change a byte
- * of the result changes the name.
+ * scale, the timeline interval and the interval-stats period. Two
+ * cache entries with the same name simulated the same point;
+ * anything that could change a byte of the result changes the name.
  *
- * Loading rehydrates a WorkloadResult without simulating. The
- * stat-registry dump is re-extracted from the report *byte-
- * identically* (the parser keeps source ranges), and the typed
- * counter structs are restored through the same stat_bindings
- * registrations the dump used — the name->field mapping cannot
- * drift from the forward path.
+ * Loading checks that the report's header describes the job (config
+ * fingerprint and every recorded option), then decodes the entry
+ * with decodeRunReportEntry() instead of simulating. The
+ * RenderParams fields maxDepth, aoRays, aoRadiusScale,
+ * shadowRaysPerLight and seed are not in reports: only the file name
+ * covers them.
  *
  * Only clean, untraced, unbudget-aborted results are cached: traced
  * runs bypass the cache (the event trace is not serialized into
@@ -49,9 +49,9 @@ bool cacheable(const Job &job);
  * Load the cached result for @p job from @p path into @p out.
  * Returns false — a plain miss, never an error — when the file is
  * absent, unparseable, lacks a metricSchema() key, or was produced
- * by a different simulation point (validated against the report's
- * config fingerprint, render params and workload id, defending
- * against hash collisions and stale-format files).
+ * by a different simulation point: its config fingerprint, a
+ * recorded option (ReportOptions) or its workload id differs from
+ * the job's, as after a hash collision or a format change.
  */
 bool readCachedResult(const std::string &path, const Job &job,
                       WorkloadResult &out);

@@ -40,6 +40,16 @@ struct HostProfileComponent
     double seconds = 0.0;
     /** Fraction of the profiled loop time (sums to ~1). */
     double share = 0.0;
+
+    /** Run-report field list: @p visit(key, field). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("name", self.name);
+        visit("seconds", self.seconds);
+        visit("share", self.share);
+    }
 };
 
 /** Finished self-profile of one simulation's cycle loop. */
@@ -52,6 +62,17 @@ struct HostProfile
     std::vector<HostProfileComponent> components;
 
     bool empty() const { return sampledIterations == 0; }
+
+    /** Run-report field list: @p visit(key, field). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("total_iterations", self.totalIterations);
+        visit("sampled_iterations", self.sampledIterations);
+        visit("loop_seconds", self.loopSeconds);
+        visit("components", self.components);
+    }
 };
 
 /** Sampled per-component wall-clock attribution for Gpu::run. */

@@ -202,33 +202,23 @@ registerAccelStats(StatRegistry &registry, const AccelStats &stats,
 {
     // AccelStats fields are size_t/int/double; expose them as
     // formulas reading the live struct.
-    const AccelStats *s = &stats;
-    auto add = [&](const char *name, auto getter) {
-        registry.addFormula(prefix + "." + name,
-                            [s, getter] {
-                                return static_cast<double>(getter(*s));
-                            });
-    };
-    add("unique_triangles",
-        [](const AccelStats &a) { return a.uniqueTriangles; });
-    add("unique_procedural_prims",
-        [](const AccelStats &a) { return a.uniqueProceduralPrims; });
-    add("instances",
-        [](const AccelStats &a) { return a.instances; });
-    add("instanced_primitives",
-        [](const AccelStats &a) { return a.instancedPrimitives; });
-    add("blas_count", [](const AccelStats &a) { return a.blasCount; });
-    add("blas_nodes", [](const AccelStats &a) { return a.blasNodes; });
-    add("tlas_nodes", [](const AccelStats &a) { return a.tlasNodes; });
-    add("tlas_depth", [](const AccelStats &a) { return a.tlasDepth; });
-    add("max_blas_depth",
-        [](const AccelStats &a) { return a.maxBlasDepth; });
-    add("total_depth",
-        [](const AccelStats &a) { return a.totalDepth; });
-    add("avg_sibling_overlap",
-        [](const AccelStats &a) { return a.avgSiblingOverlap; });
-    add("memory_footprint_bytes",
-        [](const AccelStats &a) { return a.memoryFootprintBytes; });
+    AccelStats::fields(stats, [&](const char *name, const auto &field) {
+        registry.addFormula(prefix + "." + name, [p = &field] {
+            return static_cast<double>(*p);
+        });
+    });
+}
+
+void
+registerKindStats(StatRegistry &registry, const uint64_t *reads,
+                  const uint64_t *misses)
+{
+    for (int k = 0; k < numDataKinds; k++) {
+        std::string name = dataKindName(static_cast<DataKind>(k));
+        registry.addCounter("l1.kind." + name + ".reads", &reads[k]);
+        registry.addCounter("l1.kind." + name + ".misses",
+                            &misses[k]);
+    }
 }
 
 void
@@ -286,13 +276,7 @@ registerGpu(StatRegistry &registry, const Gpu &gpu)
     registerRequesterStats(registry, mem.l1Shader(), "l1.shader");
     registerRequesterStats(registry, mem.l2Rt(), "l2.rt");
     registerRequesterStats(registry, mem.l2Shader(), "l2.shader");
-    for (int k = 0; k < numDataKinds; k++) {
-        std::string name = dataKindName(static_cast<DataKind>(k));
-        registry.addCounter("l1.kind." + name + ".reads",
-                            &mem.kindReads()[k]);
-        registry.addCounter("l1.kind." + name + ".misses",
-                            &mem.kindMisses()[k]);
-    }
+    registerKindStats(registry, mem.kindReads(), mem.kindMisses());
     registerMemSystemStats(registry, mem.memStats());
     registerDramStats(registry, mem.dram().stats());
 }

@@ -77,6 +77,10 @@ void registerAccelStats(StatRegistry &registry,
                         const AccelStats &stats,
                         const std::string &prefix = "accel");
 
+/** numDataKinds-long arrays as "l1.kind.<kind>.{reads,misses}". */
+void registerKindStats(StatRegistry &registry, const uint64_t *reads,
+                       const uint64_t *misses);
+
 /**
  * One SM-bucket/RT-bucket pair of the cycle account under
  * "<sm_prefix>.<bucket>" / "<rt_prefix>.<bucket>" (e.g. "profile.sm"

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lumi
@@ -35,6 +36,18 @@ struct TimelineWindow
     double ipc = 0.0;
     double l1MissRate = 0.0;
     double rtWarpsPerUnit = 0.0;
+
+    /** Run-report and CSV field list: @p visit(key, field). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("cycle_start", self.cycleStart);
+        visit("cycle_end", self.cycleEnd);
+        visit("ipc", self.ipc);
+        visit("l1d_miss_rate", self.l1MissRate);
+        visit("rt_warps_per_unit", self.rtWarpsPerUnit);
+    }
 };
 
 /** Records cumulative samples on a fixed cycle grid. */
@@ -121,19 +134,25 @@ writeTimelineCsv(const std::string &path,
     FILE *file = std::fopen(path.c_str(), "w");
     if (!file)
         return false;
-    bool ok = std::fprintf(file, "cycle_start,cycle_end,ipc,"
-                                 "l1d_miss_rate,rt_warps_per_unit\n") >=
-              0;
-    for (const TimelineWindow &w : windows) {
-        if (std::fprintf(file,
-                         "%" PRIu64 ",%" PRIu64 ",%.6f,%.6f,%.6f\n",
-                         w.cycleStart, w.cycleEnd, w.ipc, w.l1MissRate,
-                         w.rtWarpsPerUnit) < 0)
-            ok = false;
-    }
-    if (std::fclose(file) != 0)
-        ok = false;
-    return ok;
+    // The header line names the fields; each row prints them.
+    auto line = [&](const TimelineWindow &window, bool header) {
+        const char *sep = "";
+        TimelineWindow::fields(window, [&](const char *key, auto field) {
+            if (header)
+                std::fprintf(file, "%s%s", sep, key);
+            else if constexpr (std::is_floating_point_v<decltype(field)>)
+                std::fprintf(file, "%s%.6f", sep, field);
+            else
+                std::fprintf(file, "%s%" PRIu64, sep, field);
+            sep = ",";
+        });
+        std::fputc('\n', file);
+    };
+    line(TimelineWindow{}, true);
+    for (const TimelineWindow &window : windows)
+        line(window, false);
+    bool ok = !std::ferror(file);
+    return std::fclose(file) == 0 && ok;
 }
 
 } // namespace lumi

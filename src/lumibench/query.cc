@@ -109,7 +109,7 @@ class ReportStore::Entry
 
     /** The parsed member, or null when the entry has none. */
     const JsonValue *
-    member(Member m)
+    member(EntryMember m)
     {
         const Span &span = spans_[m];
         if (span.end <= span.begin)
@@ -126,9 +126,9 @@ class ReportStore::Entry
   private:
     const std::string &text_;
     const Spans &spans_;
-    JsonValue values_[NumMembers];
-    bool tried_[NumMembers] = {};
-    bool parsed_[NumMembers] = {};
+    JsonValue values_[NumEntryMembers];
+    bool tried_[NumEntryMembers] = {};
+    bool parsed_[NumEntryMembers] = {};
 };
 
 void
@@ -143,29 +143,13 @@ ReportStore::indexText(Indexed &file, const std::string &name,
     file.report = true;
     ReportRef &ref = file.ref;
     ref.file = name;
-    if (const JsonValue *config = doc.find("config")) {
-        ref.configName = config->str("name");
-        ref.fingerprint = config->str("fingerprint");
-    }
-    if (const JsonValue *opts = doc.find("options")) {
-        ref.width = static_cast<int>(opts->num("width"));
-        ref.height = static_cast<int>(opts->num("height"));
-        ref.samplesPerPixel =
-            static_cast<int>(opts->num("samples_per_pixel"));
-        ref.sceneDetail = opts->num("scene_detail");
-        if (const JsonValue *iv = opts->find("interval_stats"))
-            ref.intervalStats = iv->counter();
-    }
-    const JsonValue *workloads = doc.find("workloads");
-    if (!workloads || !workloads->isArray())
-        return;
-    static const char *const names[NumMembers] = {
-        "stats", "metrics", "interval_stats"};
-    for (const JsonValue &entry : workloads->items) {
-        ref.workloads.push_back(entry.str("id"));
+    ref.header = decodeRunReportHeader(doc);
+    for (const JsonValue &entry : runReportEntries(doc)) {
+        ref.workloads.push_back(entryId(entry));
         Spans &spans = file.entries.emplace_back();
-        for (int m = 0; m < NumMembers; m++) {
-            if (const JsonValue *member = entry.find(names[m]))
+        for (int m = 0; m < NumEntryMembers; m++) {
+            if (const JsonValue *member =
+                    entryMember(entry, static_cast<EntryMember>(m)))
                 spans[m] = {member->begin, member->end};
         }
     }
@@ -291,32 +275,34 @@ QueryFilter::add(const std::string &term)
 bool
 QueryFilter::matchesReport(const ReportRef &ref) const
 {
+    const ConfigSummary &config = ref.header.config;
+    const ReportOptions &options = ref.header.options;
     for (const auto &[key, value] : terms) {
         if (key == "workload" || key == "scene")
             continue; // entry-level, checked in matches()
         if (key == "config") {
-            if (!matchValue(value, ref.configName))
+            if (!matchValue(value, config.name))
                 return false;
         } else if (key == "fingerprint") {
-            if (ref.fingerprint.compare(0, value.size(), value) !=
+            if (config.fingerprint.compare(0, value.size(), value) !=
                 0)
                 return false;
         } else if (key == "width") {
-            if (!sameNumber(value, ref.width))
+            if (!sameNumber(value, options.width))
                 return false;
         } else if (key == "height") {
-            if (!sameNumber(value, ref.height))
+            if (!sameNumber(value, options.height))
                 return false;
         } else if (key == "spp") {
-            if (!sameNumber(value, ref.samplesPerPixel))
+            if (!sameNumber(value, options.samplesPerPixel))
                 return false;
         } else if (key == "detail") {
-            if (!sameNumber(value, ref.sceneDetail))
+            if (!sameNumber(value, options.sceneDetail))
                 return false;
         } else if (key == "interval") {
             if (!sameNumber(value,
                             static_cast<double>(
-                                ref.intervalStats)))
+                                options.intervalStats)))
                 return false;
         }
     }
@@ -351,7 +337,7 @@ ReportStore::breakdown(const QueryFilter &filter)
     std::vector<BreakdownRow> rows;
     walk(filter, [&](const ReportRef &ref, const std::string &id,
                      Entry &entry) {
-        const JsonValue *stats = entry.member(Stats);
+        const JsonValue *stats = entry.member(EntryStats);
         // Pre-profiler reports carry no profile.* keys; skip them
         // rather than emit an all-zero row.
         if (!stats || !stats->isObject() ||
@@ -405,10 +391,10 @@ ReportStore::stat(const std::string &name, const QueryFilter &filter)
     walk(filter, [&](const ReportRef &ref, const std::string &id,
                      Entry &entry) {
         const JsonValue *value = nullptr;
-        if (const JsonValue *stats = entry.member(Stats))
+        if (const JsonValue *stats = entry.member(EntryStats))
             value = stats->find(name);
         if (!value) {
-            if (const JsonValue *metrics = entry.member(Metrics))
+            if (const JsonValue *metrics = entry.member(EntryMetrics))
                 value = metrics->find(name);
         }
         if (value && value->isNumber())
@@ -425,7 +411,7 @@ ReportStore::series(const std::string &name, const QueryFilter &filter)
     std::vector<SeriesResult> results;
     walk(filter, [&](const ReportRef &ref, const std::string &id,
                      Entry &entry) {
-        const JsonValue *interval = entry.member(IntervalStats);
+        const JsonValue *interval = entry.member(EntryIntervalStats);
         IntervalSeries series;
         if (!interval || !interval->isObject() ||
             !IntervalSeries::fromJson(*interval, series))
@@ -458,7 +444,7 @@ ReportStore::statNames(const QueryFilter &filter)
     std::vector<std::string> names;
     walk(filter, [&](const ReportRef &, const std::string &,
                      Entry &entry) {
-        for (Member group : {Stats, Metrics}) {
+        for (EntryMember group : {EntryStats, EntryMetrics}) {
             if (const JsonValue *members = entry.member(group)) {
                 for (const auto &[name, value] : members->members)
                     names.push_back(name);
@@ -492,15 +478,6 @@ statRowsJson(const std::vector<StatRow> &rows)
 namespace
 {
 
-void
-writeCounters(JsonWriter &json, const std::vector<uint64_t> &values)
-{
-    json.beginArray();
-    for (uint64_t value : values)
-        json.value(value);
-    json.endArray();
-}
-
 /** One {"bucket": value, ...} object per side of the breakdown. */
 template <typename Bucket, int N, typename Value>
 void
@@ -521,24 +498,7 @@ std::string
 seriesJson(const std::vector<SeriesResult> &results)
 {
     JsonWriter json;
-    json.beginArray();
-    for (const SeriesResult &result : results) {
-        json.beginObject();
-        json.key("file");
-        json.value(result.file);
-        json.key("workload");
-        json.value(result.workload);
-        json.key("interval");
-        json.value(result.interval);
-        json.key("cycles");
-        writeCounters(json, result.cycles);
-        json.key("values");
-        writeCounters(json, result.values);
-        json.key("deltas");
-        writeCounters(json, result.deltas);
-        json.endObject();
-    }
-    json.endArray();
+    json.write(results);
     return json.str();
 }
 

@@ -54,15 +54,25 @@ struct ReportRef
 {
     /** File name only (stable handle for /report?file=...). */
     std::string file;
-    std::string configName;
-    std::string fingerprint;
-    int width = 0;
-    int height = 0;
-    int samplesPerPixel = 0;
-    double sceneDetail = 0.0;
-    uint64_t intervalStats = 0;
+    RunReportHeader header;
     /** Workload/kernel ids in the report, in file order. */
     std::vector<std::string> workloads;
+
+    /** Field list of the serve /index document. */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("file", self.file);
+        visit("config", self.header.config.name);
+        visit("fingerprint", self.header.config.fingerprint);
+        visit("width", self.header.options.width);
+        visit("height", self.header.options.height);
+        visit("spp", self.header.options.samplesPerPixel);
+        visit("detail", self.header.options.sceneDetail);
+        visit("interval", self.header.options.intervalStats);
+        visit("workloads", self.workloads);
+    }
 };
 
 /** A scanned report directory. */
@@ -131,6 +141,19 @@ struct SeriesResult
     std::vector<uint64_t> values;
     /** Per-interval delta (delta[0] == values[0]). */
     std::vector<uint64_t> deltas;
+
+    /** Field list of the seriesJson() document. */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("file", self.file);
+        visit("workload", self.workload);
+        visit("interval", self.interval);
+        visit("cycles", self.cycles);
+        visit("values", self.values);
+        visit("deltas", self.deltas);
+    }
 };
 
 /**
@@ -218,15 +241,6 @@ class ReportStore
     bool readReport(const std::string &file, std::string &text);
 
   private:
-    /** The members of a workload entry the store keeps ranges of. */
-    enum Member
-    {
-        Stats,
-        Metrics,
-        IntervalStats,
-        NumMembers,
-    };
-
     /** [begin, end) of one member in the report text. */
     struct Span
     {
@@ -235,7 +249,7 @@ class ReportStore
     };
 
     /** Member ranges of one entry; an absent member's is empty. */
-    using Spans = std::array<Span, NumMembers>;
+    using Spans = std::array<Span, NumEntryMembers>;
 
     /** What the store keeps of one *.json file. */
     struct Indexed

@@ -2,11 +2,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <type_traits>
 
 #include <sys/stat.h>
 
+#include "gpu/stat_bindings.hh"
+#include "trace/interval.hh"
 #include "trace/json.hh"
 #include "trace/json_read.hh"
+#include "trace/stat_registry.hh"
 
 namespace lumi
 {
@@ -14,41 +19,85 @@ namespace lumi
 namespace
 {
 
-/** FNV-1a over the bytes of successive values. */
-class Fingerprint
+/** Keys of the workload-entry members, by EntryMember. */
+const char *const kEntryMemberKeys[NumEntryMembers] = {
+    "stats", "metrics", "interval_stats"};
+
+/**
+ * Decode @p value (null when absent) into @p out, a record field by
+ * field; absent, mistyped or out-of-range reads as zero or empty.
+ */
+template <typename T>
+void
+readJson(const JsonValue *value, T &out)
 {
-  public:
-    template <typename T>
-    void
-    mix(const T &value)
-    {
-        const unsigned char *bytes =
-            reinterpret_cast<const unsigned char *>(&value);
-        for (size_t i = 0; i < sizeof(T); i++) {
-            hash_ ^= bytes[i];
-            hash_ *= 1099511628211ull;
-        }
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = value && value->isString() ? value->text : T();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out = value && value->kind == JsonValue::Kind::Bool &&
+              value->boolean;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        double number = value ? value->number() : 0.0;
+        using Limits = std::numeric_limits<T>;
+        out = std::is_floating_point_v<T> ||
+                      (number >= static_cast<double>(Limits::lowest()) &&
+                       number < std::ldexp(1.0, Limits::digits))
+                  ? static_cast<T>(number)
+                  : T();
+    } else {
+        T::fields(out, [&](const char *key, auto &field) {
+            readJson(value ? value->find(key) : nullptr, field);
+        });
     }
+}
 
-    std::string
-    hex() const
-    {
-        char buf[20];
-        std::snprintf(buf, sizeof(buf), "%08x",
-                      static_cast<unsigned>(hash_ ^ (hash_ >> 32)));
-        return buf;
+template <typename T>
+void
+readJson(const JsonValue *value, std::vector<T> &records)
+{
+    records.assign(value && value->isArray() ? value->items.size() : 0,
+                   T());
+    for (size_t i = 0; i < records.size(); i++)
+        readJson(&value->items[i], records[i]);
+}
+
+/**
+ * Restore @p result's counter structs from the flat stats object
+ * through the stat_bindings registrations the dump used. Entries
+ * with no binding here (per-SM caches, the L2, formulas) live only
+ * in the verbatim statsJson.
+ */
+void
+restoreCounters(WorkloadResult &result, const JsonValue &stats)
+{
+    StatRegistry registry;
+    registerGpuStats(registry, result.stats);
+    registerCycleBuckets(registry, result.profileSm,
+                         result.profileRt, "profile.sm",
+                         "profile.rt");
+    registerRequesterStats(registry, result.l1Rt, "l1.rt");
+    registerRequesterStats(registry, result.l1Shader, "l1.shader");
+    registerRequesterStats(registry, result.l2Rt, "l2.rt");
+    registerRequesterStats(registry, result.l2Shader, "l2.shader");
+    registerDramStats(registry, result.dram);
+    registerKindStats(registry, result.kindReads, result.kindMisses);
+    for (const auto &[name, value] : stats.members) {
+        if (value.isNumber())
+            registry.setCounter(name, value.counter());
     }
-
-  private:
-    uint64_t hash_ = 14695981039346656037ull;
-};
+    // AccelStats is exposed as formulas; restore its fields by name.
+    auto accel = [&](const char *name, auto &field) {
+        readJson(stats.find(std::string("accel.") + name), field);
+    };
+    AccelStats::fields(result.accelStats, accel);
+}
 
 } // namespace
 
 std::string
 configFingerprint(const GpuConfig &config)
 {
-    Fingerprint fp;
+    Fnv1a fp;
     fp.mix(config.numSms);
     fp.mix(config.maxWarpsPerSm);
     fp.mix(config.warpSize);
@@ -82,7 +131,31 @@ configFingerprint(const GpuConfig &config)
     fp.mix(config.rtBoxTestLatency);
     fp.mix(config.rtTriTestLatency);
     fp.mix(config.rtIssueWidth);
-    return config.name + "-" + fp.hex();
+    char hex[20];
+    std::snprintf(hex, sizeof(hex), "%08x",
+                  static_cast<unsigned>(fp.digest ^ (fp.digest >> 32)));
+    return config.name + "-" + hex;
+}
+
+ReportOptions
+ReportOptions::of(const RunOptions &options)
+{
+    return {options.params.width, options.params.height,
+            options.params.samplesPerPixel,
+            static_cast<double>(options.sceneDetail),
+            options.timelineInterval, options.dramBandwidthScale,
+            options.traceMask, options.intervalStats,
+            options.selfProfile};
+}
+
+bool
+ReportOptions::operator==(const ReportOptions &other) const
+{
+    JsonWriter mine;
+    JsonWriter theirs;
+    mine.write(*this);
+    theirs.write(other);
+    return mine.str() == theirs.str();
 }
 
 std::string
@@ -93,50 +166,15 @@ runReportJson(const std::vector<WorkloadResult> &results,
     json.beginObject();
     json.key("schema");
     json.value(kRunReportSchema);
-
     json.key("config");
-    json.beginObject();
-    json.key("name");
-    json.value(options.config.name);
-    json.key("fingerprint");
-    json.value(configFingerprint(options.config));
-    json.key("num_sms");
-    json.value(options.config.numSms);
-    json.key("max_warps_per_sm");
-    json.value(options.config.maxWarpsPerSm);
-    json.key("rt_units_per_sm");
-    json.value(options.config.rtUnitsPerSm);
-    json.key("rt_max_warps");
-    json.value(options.config.rtMaxWarps);
-    json.key("l1_size_bytes");
-    json.value(static_cast<uint64_t>(options.config.l1SizeBytes));
-    json.key("l2_size_bytes");
-    json.value(static_cast<uint64_t>(options.config.l2SizeBytes));
-    json.key("dram_channels");
-    json.value(options.config.dramChannels);
-    json.endObject();
-
+    const GpuConfig &config = options.config;
+    json.write(ConfigSummary{config.name, configFingerprint(config),
+                             config.numSms, config.maxWarpsPerSm,
+                             config.rtUnitsPerSm, config.rtMaxWarps,
+                             config.l1SizeBytes, config.l2SizeBytes,
+                             config.dramChannels});
     json.key("options");
-    json.beginObject();
-    json.key("width");
-    json.value(options.params.width);
-    json.key("height");
-    json.value(options.params.height);
-    json.key("samples_per_pixel");
-    json.value(options.params.samplesPerPixel);
-    json.key("scene_detail");
-    json.value(static_cast<double>(options.sceneDetail));
-    json.key("timeline_interval");
-    json.value(options.timelineInterval);
-    json.key("dram_bandwidth_scale");
-    json.value(options.dramBandwidthScale);
-    json.key("trace_mask");
-    json.value(static_cast<uint64_t>(options.traceMask));
-    json.key("interval_stats");
-    json.value(options.intervalStats);
-    json.key("self_profile");
-    json.value(options.selfProfile);
-    json.endObject();
+    json.write(ReportOptions::of(options));
 
     json.key("workloads");
     json.beginArray();
@@ -150,13 +188,13 @@ runReportJson(const std::vector<WorkloadResult> &results,
         writePhasesJson(json, result.phases);
 
         // The stat-registry dump is already JSON; splice it in.
-        json.key("stats");
+        json.key(kEntryMemberKeys[EntryStats]);
         if (result.statsJson.empty())
             json.raw("{}");
         else
             json.raw(result.statsJson);
 
-        json.key("metrics");
+        json.key(kEntryMemberKeys[EntryMetrics]);
         json.beginObject();
         const std::vector<MetricDef> &schema = metricSchema();
         for (size_t i = 0;
@@ -168,78 +206,22 @@ runReportJson(const std::vector<WorkloadResult> &results,
         json.endObject();
 
         json.key("timeline");
-        json.beginArray();
-        for (const TimelineWindow &window : result.timeline) {
-            json.beginObject();
-            json.key("cycle_start");
-            json.value(window.cycleStart);
-            json.key("cycle_end");
-            json.value(window.cycleEnd);
-            json.key("ipc");
-            json.value(window.ipc);
-            json.key("l1d_miss_rate");
-            json.value(window.l1MissRate);
-            json.key("rt_warps_per_unit");
-            json.value(window.rtWarpsPerUnit);
-            json.endObject();
-        }
-        json.endArray();
+        json.write(result.timeline);
 
         // Counter time series (cumulative; canonical integer form,
         // so a cache round trip reproduces the bytes exactly).
         if (!result.intervalSeries.empty()) {
-            json.key("interval_stats");
+            json.key(kEntryMemberKeys[EntryIntervalStats]);
             json.raw(result.intervalSeries.toJson());
         }
 
         if (!result.hostProfile.empty()) {
-            const HostProfile &profile = result.hostProfile;
             json.key("host_profile");
-            json.beginObject();
-            json.key("total_iterations");
-            json.value(profile.totalIterations);
-            json.key("sampled_iterations");
-            json.value(profile.sampledIterations);
-            json.key("loop_seconds");
-            json.value(profile.loopSeconds);
-            json.key("components");
-            json.beginArray();
-            for (const HostProfileComponent &component :
-                 profile.components) {
-                json.beginObject();
-                json.key("name");
-                json.value(component.name);
-                json.key("seconds");
-                json.value(component.seconds);
-                json.key("share");
-                json.value(component.share);
-                json.endObject();
-            }
-            json.endArray();
-            json.endObject();
+            json.write(result.hostProfile);
         }
 
         json.key("analytical");
-        json.beginObject();
-        json.key("mwp");
-        json.value(result.analytical.mwp);
-        json.key("cwp");
-        json.value(result.analytical.cwp);
-        json.key("mem_latency");
-        json.value(result.analytical.memLatency);
-        json.key("comp_cycles_per_warp");
-        json.value(result.analytical.compCyclesPerWarp);
-        json.key("mem_instr_per_warp");
-        json.value(result.analytical.memInstrPerWarp);
-        json.key("reported_launch_cycles");
-        json.value(result.analytical.reportedLaunchCycles);
-        json.key("predicted_cycles");
-        json.value(result.analytical.predictedCycles);
-        json.key("predicted_ipc");
-        json.value(result.analytical.predictedIpc);
-        json.key("measured_ipc");
-        json.value(result.analytical.measuredIpc);
-        json.endObject();
+        json.write(result.analytical);
 
         if (result.trace) {
             json.key("trace_summary");
@@ -270,18 +252,7 @@ void
 writePhasesJson(JsonWriter &json, const std::vector<PhaseTiming> &phases)
 {
     json.key("phases");
-    json.beginArray();
-    for (const PhaseTiming &phase : phases) {
-        json.beginObject();
-        json.key("name");
-        json.value(phase.name);
-        json.key("seconds");
-        json.value(phase.seconds);
-        json.key("count");
-        json.value(phase.count);
-        json.endObject();
-    }
-    json.endArray();
+    json.write(phases);
 }
 
 bool
@@ -360,11 +331,92 @@ parseRunReport(const std::string &text, JsonValue &doc)
            doc.str("schema") == kRunReportSchema;
 }
 
-bool
-loadRunReport(const std::string &path, std::string &text,
-              JsonValue &doc)
+RunReportHeader
+decodeRunReportHeader(const JsonValue &doc)
 {
-    return readWholeFile(path, text) && parseRunReport(text, doc);
+    RunReportHeader header;
+    readJson(doc.find("config"), header.config);
+    readJson(doc.find("options"), header.options);
+    return header;
+}
+
+const std::vector<JsonValue> &
+runReportEntries(const JsonValue &doc)
+{
+    static const std::vector<JsonValue> none;
+    const JsonValue *workloads = doc.find("workloads");
+    return workloads && workloads->isArray() ? workloads->items : none;
+}
+
+std::string
+entryId(const JsonValue &entry)
+{
+    return entry.str("id");
+}
+
+const JsonValue *
+entryMember(const JsonValue &entry, EntryMember member)
+{
+    return entry.find(kEntryMemberKeys[member]);
+}
+
+bool
+decodeRunReportEntry(const std::string &text, const JsonValue &entry,
+                     const RunReportHeader &header, WorkloadResult &out)
+{
+    WorkloadResult result;
+    result.id = entryId(entry);
+    result.rtUnits = static_cast<int>(
+        entry.num("rt_units", result.rtUnits));
+
+    // The stats dump was spliced in verbatim at write time; slice it
+    // back out of the source text so warm statsJson is byte-
+    // identical to the cold dump.
+    const JsonValue *stats = entryMember(entry, EntryStats);
+    if (!stats || !stats->isObject())
+        return false;
+    result.statsJson = text.substr(stats->begin,
+                                   stats->end - stats->begin);
+    restoreCounters(result, *stats);
+    // DramStats.channels feeds the dram.efficiency formula and is
+    // config-derived, not a counter.
+    result.dram.channels = header.config.dramChannels;
+
+    readJson(entry.find("phases"), result.phases);
+
+    // Every metricSchema() key must be present: a missing object or
+    // key fails, never a short or NaN-padded vector. A null value is
+    // a real NaN (compute kernels have no RT or scene metrics).
+    const JsonValue *metrics = entryMember(entry, EntryMetrics);
+    if (!metrics || !metrics->isObject())
+        return false;
+    const std::vector<MetricDef> &schema = metricSchema();
+    result.metrics.workload = result.id;
+    result.metrics.values.reserve(schema.size());
+    for (const MetricDef &def : schema) {
+        const JsonValue *value = metrics->find(def.name);
+        if (!value || (!value->isNumber() &&
+                       value->kind != JsonValue::Kind::Null))
+            return false;
+        result.metrics.values.push_back(value->number());
+    }
+
+    // Interval time series: the typed form is exact (counters are
+    // JSON integers and toJson() is canonical), so a warm report
+    // re-serializes byte-identically to the cold one.
+    if (const JsonValue *interval =
+            entryMember(entry, EntryIntervalStats);
+        interval && interval->isObject()) {
+        if (!IntervalSeries::fromJson(*interval,
+                                      result.intervalSeries))
+            return false;
+    }
+
+    readJson(entry.find("timeline"), result.timeline);
+    readJson(entry.find("analytical"), result.analytical);
+
+    out = std::move(result);
+    return true;
 }
 
 } // namespace lumi

@@ -10,9 +10,14 @@
  * simulated hardware config. External tooling consumes these instead
  * of scraping the text tables.
  *
- * The format lives here on both sides: the writer below, and
- * loadRunReport(), the one reader the result cache and the query
- * layer share.
+ * This module owns the format in both directions. Each record has
+ * one field list, a static fields(self, visit) member next to the
+ * struct it describes: ConfigSummary and ReportOptions below,
+ * PhaseTiming, TimelineWindow, HostProfileComponent, AnalyticalModel,
+ * and AccelStats for the accel.* stats. The writer runReportJson()
+ * and its inverse, decodeRunReportHeader() plus
+ * decodeRunReportEntry(), are generated from those lists; the result
+ * cache and the query layer read reports only through them.
  */
 
 #ifndef LUMI_LUMIBENCH_RUN_REPORT_HH
@@ -43,12 +48,105 @@ inline constexpr const char *kRunReportSchema =
 inline constexpr const char *kConfigFingerprintScheme =
     "fnv1a64-xor32-v1";
 
+/** FNV-1a over the bytes of successive values (fingerprint, key). */
+struct Fnv1a
+{
+    uint64_t digest = 14695981039346656037ull;
+
+    template <typename T>
+    void
+    mix(const T &value)
+    {
+        auto bytes = reinterpret_cast<const unsigned char *>(&value);
+        for (size_t i = 0; i < sizeof(T); i++)
+            digest = (digest ^ bytes[i]) * 1099511628211ull;
+    }
+};
+
 /**
  * Stable fingerprint of a GpuConfig: "<name>-<hex>", where the hex
  * digest hashes every timing-relevant field. Two runs with the same
  * fingerprint simulated identical hardware.
  */
 std::string configFingerprint(const GpuConfig &config);
+
+/** The "config" record: a summary of the simulated GpuConfig. */
+struct ConfigSummary
+{
+    std::string name;
+    /** configFingerprint() of the config. */
+    std::string fingerprint;
+    int numSms = 0;
+    int maxWarpsPerSm = 0;
+    int rtUnitsPerSm = 0;
+    int rtMaxWarps = 0;
+    uint64_t l1SizeBytes = 0;
+    uint64_t l2SizeBytes = 0;
+    int dramChannels = 0;
+
+    /** Report field list: @p visit(key, field), in file order. */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("name", self.name);
+        visit("fingerprint", self.fingerprint);
+        visit("num_sms", self.numSms);
+        visit("max_warps_per_sm", self.maxWarpsPerSm);
+        visit("rt_units_per_sm", self.rtUnitsPerSm);
+        visit("rt_max_warps", self.rtMaxWarps);
+        visit("l1_size_bytes", self.l1SizeBytes);
+        visit("l2_size_bytes", self.l2SizeBytes);
+        visit("dram_channels", self.dramChannels);
+    }
+};
+
+/**
+ * The "options" record: the RunOptions a report records. The
+ * RenderParams fields maxDepth, aoRays, aoRadiusScale,
+ * shadowRaysPerLight and seed are not recorded; only the cache key
+ * (campaign/cache.hh) covers them.
+ */
+struct ReportOptions
+{
+    int width = 0;
+    int height = 0;
+    int samplesPerPixel = 0;
+    double sceneDetail = 0.0;
+    uint64_t timelineInterval = 0;
+    double dramBandwidthScale = 0.0;
+    uint64_t traceMask = 0;
+    uint64_t intervalStats = 0;
+    bool selfProfile = false;
+
+    static ReportOptions of(const RunOptions &options);
+
+    /** Equal when both write the same bytes (doubles print %.12g). */
+    bool operator==(const ReportOptions &other) const;
+
+    /** Report field list: @p visit(key, field), in file order. */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("width", self.width);
+        visit("height", self.height);
+        visit("samples_per_pixel", self.samplesPerPixel);
+        visit("scene_detail", self.sceneDetail);
+        visit("timeline_interval", self.timelineInterval);
+        visit("dram_bandwidth_scale", self.dramBandwidthScale);
+        visit("trace_mask", self.traceMask);
+        visit("interval_stats", self.intervalStats);
+        visit("self_profile", self.selfProfile);
+    }
+};
+
+/** The run-level records of a report. */
+struct RunReportHeader
+{
+    ConfigSummary config;
+    ReportOptions options;
+};
 
 /** Serialize one run (any number of workloads) as a JSON document. */
 std::string runReportJson(const std::vector<WorkloadResult> &results,
@@ -104,13 +202,38 @@ bool writeWholeFile(const std::string &path, const std::string &text);
  */
 bool parseRunReport(const std::string &text, JsonValue &doc);
 
+/** Decode @p doc's header; an absent field reads as zero or empty. */
+RunReportHeader decodeRunReportHeader(const JsonValue &doc);
+
+/** The workload entries of report @p doc, in file order. */
+const std::vector<JsonValue> &runReportEntries(const JsonValue &doc);
+
+/** Id of workload entry @p entry; empty when absent. */
+std::string entryId(const JsonValue &entry);
+
+/** The members of a workload entry a reader can slice by range. */
+enum EntryMember
+{
+    EntryStats,
+    EntryMetrics,
+    EntryIntervalStats,
+    NumEntryMembers,
+};
+
+/** Member @p member of workload entry @p entry; null when absent. */
+const JsonValue *entryMember(const JsonValue &entry, EntryMember member);
+
 /**
- * Load the run report at @p path: readWholeFile() into @p text, then
- * parseRunReport() into @p doc. False when the file is unreadable or
- * not a report.
+ * Decode workload entry @p entry of report @p text (whose byte
+ * ranges @p entry indexes) into @p out: runReportJson() inverted,
+ * trace and host profile aside; statsJson is sliced out verbatim.
+ * False when the stats, a metricSchema() key or a well-formed
+ * interval series is missing.
  */
-bool loadRunReport(const std::string &path, std::string &text,
-                   JsonValue &doc);
+bool decodeRunReportEntry(const std::string &text,
+                          const JsonValue &entry,
+                          const RunReportHeader &header,
+                          WorkloadResult &out);
 
 } // namespace lumi
 

@@ -119,38 +119,6 @@ errorResponse(int status, const std::string &message)
     return {status, "application/json", json.str()};
 }
 
-void
-writeIndexJson(JsonWriter &json, const ReportIndex &index)
-{
-    json.beginArray();
-    for (const ReportRef &ref : index.reports) {
-        json.beginObject();
-        json.key("file");
-        json.value(ref.file);
-        json.key("config");
-        json.value(ref.configName);
-        json.key("fingerprint");
-        json.value(ref.fingerprint);
-        json.key("width");
-        json.value(ref.width);
-        json.key("height");
-        json.value(ref.height);
-        json.key("spp");
-        json.value(ref.samplesPerPixel);
-        json.key("detail");
-        json.value(ref.sceneDetail);
-        json.key("interval");
-        json.value(ref.intervalStats);
-        json.key("workloads");
-        json.beginArray();
-        for (const std::string &id : ref.workloads)
-            json.value(id);
-        json.endArray();
-        json.endObject();
-    }
-    json.endArray();
-}
-
 /**
  * The embedded stacked-area view: fetches the profile.sm.* interval
  * series through /series (passing the page's query string through as
@@ -279,9 +247,8 @@ ReportServer::handle(const std::string &target) const
 
     if (path == "/index") {
         MutexLock lock(mutex_);
-        ReportIndex index = store_.index();
         JsonWriter json;
-        writeIndexJson(json, index);
+        json.write(store_.index().reports);
         return {200, "application/json", json.str()};
     }
 

@@ -385,12 +385,12 @@ readCsv(const std::string &path)
     return rows;
 }
 
-void
+bool
 writeCsv(const std::string &path, const std::vector<MetricVector> &rows)
 {
     FILE *file = std::fopen(path.c_str(), "w");
     if (!file)
-        return;
+        return false;
     std::fprintf(file, "workload");
     for (const MetricDef &def : metricSchema())
         std::fprintf(file, ",%s", def.name.c_str());
@@ -401,7 +401,8 @@ writeCsv(const std::string &path, const std::vector<MetricVector> &rows)
             std::fprintf(file, ",%.6g", v);
         std::fprintf(file, "\n");
     }
-    std::fclose(file);
+    bool ok = !std::ferror(file);
+    return std::fclose(file) == 0 && ok;
 }
 
 } // namespace lumi

@@ -79,8 +79,8 @@ struct WorkloadContext
 MetricVector collectMetrics(const Gpu &gpu,
                             const WorkloadContext *context);
 
-/** Write rows as CSV (schema header + one line per vector). */
-void writeCsv(const std::string &path,
+/** Write rows as CSV (schema header + rows); false on I/O failure. */
+bool writeCsv(const std::string &path,
               const std::vector<MetricVector> &rows);
 
 /**

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lumi
@@ -145,6 +146,44 @@ class JsonWriter
     {
         comma();
         out_ += flag ? "true" : "false";
+    }
+
+    /**
+     * Write @p value: a scalar as value() does, a record (a type with
+     * a static fields(self, visit) list) as an object, field by field.
+     */
+    template <typename T>
+    void
+    write(const T &value)
+    {
+        if constexpr (std::is_same_v<T, bool> ||
+                      std::is_same_v<T, std::string>) {
+            this->value(value);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            this->value(static_cast<double>(value));
+        } else if constexpr (std::is_signed_v<T>) {
+            this->value(static_cast<int64_t>(value));
+        } else if constexpr (std::is_unsigned_v<T>) {
+            this->value(static_cast<uint64_t>(value));
+        } else {
+            beginObject();
+            T::fields(value, [&](const char *name, const auto &field) {
+                key(name);
+                write(field);
+            });
+            endObject();
+        }
+    }
+
+    /** Write @p values as an array, each as write() does. */
+    template <typename T>
+    void
+    write(const std::vector<T> &values)
+    {
+        beginArray();
+        for (const T &value : values)
+            write(value);
+        endArray();
     }
 
     /** Splice pre-serialized JSON (e.g. an embedded document). */

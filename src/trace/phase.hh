@@ -27,6 +27,16 @@ struct PhaseTiming
     std::string name;
     double seconds = 0.0;
     uint64_t count = 0;
+
+    /** Run-report field list: @p visit(key, field). */
+    template <typename Self, typename Visit>
+    static void
+    fields(Self &self, Visit &&visit)
+    {
+        visit("name", self.name);
+        visit("seconds", self.seconds);
+        visit("count", self.count);
+    }
 };
 
 /** Accumulates named wall-clock phases (first-entry order kept). */

@@ -313,6 +313,48 @@ TEST(Campaign, CacheKeyCoversRenderParams)
     EXPECT_FALSE(cacheable(traced));
 }
 
+TEST(Campaign, CacheEntryOfAnotherPointIsAMiss)
+{
+    Job base = Job::compute(ComputeKernel::Nn, quickOptions());
+    std::string dir = freshDir("point");
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/entry.report.json";
+    ASSERT_TRUE(writeCachedResult(
+        path, base, runCompute(base.kernel, base.options)));
+
+    // Every recorded option and the config fingerprint must match
+    // the job, whatever the file is named.
+    Job interval = base;
+    interval.options.timelineInterval += 1;
+    Job detail = base;
+    detail.options.sceneDetail += 0.1f;
+    Job config = base;
+    config.options.config = GpuConfig::table4();
+    Job other = Job::compute(ComputeKernel::Kmeans, base.options);
+    WorkloadResult result;
+    EXPECT_FALSE(readCachedResult(path, interval, result));
+    EXPECT_FALSE(readCachedResult(path, detail, result));
+    EXPECT_FALSE(readCachedResult(path, config, result));
+    EXPECT_FALSE(readCachedResult(path, other, result));
+    EXPECT_TRUE(readCachedResult(path, base, result));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, CacheKeyStringsArePinned)
+{
+    // Every existing cache entry is named by these digests: a change
+    // to either would orphan them all.
+    EXPECT_EQ(configFingerprint(GpuConfig::mobile()), "mobile-7a601917");
+    EXPECT_EQ(configFingerprint(GpuConfig::table4()), "table4-c84ac1a2");
+    RunOptions options;
+    EXPECT_EQ(cacheKey(Job::rayTracing(
+                  {SceneId::BUNNY, ShaderKind::AmbientOcclusion},
+                  options)),
+              "BUNNY_AO-mobile-7a601917-pf435836e6eec07e6.report.json");
+    EXPECT_EQ(cacheKey(Job::compute(ComputeKernel::Nn, options)),
+              "nn-mobile-7a601917-pf435836e6eec07e6.report.json");
+}
+
 TEST(Campaign, ResolveWorkerCount)
 {
     EXPECT_EQ(resolveWorkerCount(4, 100), 4);

@@ -4,14 +4,17 @@
  * JSON round trip (constant-series compaction included), the
  * observer-effect-zero contract (sampling changes nothing about the
  * simulation), run-to-run determinism of the series, and the result
- * cache carrying the series byte-identically.
+ * cache reproducing a report byte-identically, series included, for
+ * every workload family.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -205,15 +208,56 @@ TEST(Interval, SeriesIsDeterministicAcrossRuns)
     EXPECT_EQ(a.intervalSeries.toJson(), b.intervalSeries.toJson());
 }
 
-TEST(Interval, CacheRoundTripsSeriesByteIdentically)
+/** One simulation point of the cache round trip. */
+struct RoundTripPoint
 {
-    RunOptions options = quickOptions();
-    options.intervalStats = 500;
-    campaign::Job job =
-        campaign::Job::rayTracing(quickWorkload(), options);
-    WorkloadResult cold = runWorkload(job.workload, options);
-    std::string cold_report =
-        runReportJson({cold}, job.options);
+    const char *tag;
+    campaign::Job job;
+};
+
+void
+PrintTo(const RoundTripPoint &point, std::ostream *os)
+{
+    *os << point.tag;
+}
+
+/** Every field of @p record as a double, in field-list order. */
+template <typename Record>
+void
+appendFields(const Record &record, std::vector<double> &values)
+{
+    Record::fields(record, [&](const char *, const auto &field) {
+        values.push_back(static_cast<double>(field));
+    });
+}
+
+/** Equal up to one %.12g round trip; NaN equals NaN. */
+void
+expectSameFields(const std::vector<double> &cold,
+                 const std::vector<double> &warm)
+{
+    ASSERT_EQ(warm.size(), cold.size());
+    for (size_t i = 0; i < cold.size(); i++) {
+        if (std::isnan(cold[i]))
+            EXPECT_TRUE(std::isnan(warm[i])) << "field " << i;
+        else
+            EXPECT_NEAR(warm[i], cold[i], 1e-9 * std::fabs(cold[i]))
+                << "field " << i;
+    }
+}
+
+class CacheRoundTrip : public ::testing::TestWithParam<RoundTripPoint>
+{
+};
+
+TEST_P(CacheRoundTrip, WarmReportMatchesCold)
+{
+    const campaign::Job &job = GetParam().job;
+    WorkloadResult cold =
+        job.kind == campaign::Job::Kind::Compute
+            ? runCompute(job.kernel, job.options)
+            : runWorkload(job.workload, job.options);
+    std::string cold_report = runReportJson({cold}, job.options);
 
     std::string dir = freshDir("cache");
     std::filesystem::create_directories(dir);
@@ -222,13 +266,54 @@ TEST(Interval, CacheRoundTripsSeriesByteIdentically)
 
     WorkloadResult warm;
     ASSERT_TRUE(campaign::readCachedResult(path, job, warm));
+    std::filesystem::remove_all(dir);
+    // The whole re-serialized report, series included, matches the
+    // cold bytes, so warm campaign manifests never drift.
+    EXPECT_EQ(runReportJson({warm}, job.options), cold_report);
     EXPECT_EQ(warm.intervalSeries.toJson(),
               cold.intervalSeries.toJson());
-    // The whole re-serialized report — series included — matches
-    // the cold bytes, so warm campaign manifests never drift.
-    EXPECT_EQ(runReportJson({warm}, job.options), cold_report);
-    std::filesystem::remove_all(dir);
+
+    std::vector<double> cold_fields;
+    std::vector<double> warm_fields;
+    for (const TimelineWindow &window : cold.timeline)
+        appendFields(window, cold_fields);
+    for (const TimelineWindow &window : warm.timeline)
+        appendFields(window, warm_fields);
+    appendFields(cold.analytical, cold_fields);
+    appendFields(warm.analytical, warm_fields);
+    expectSameFields(cold_fields, warm_fields);
 }
+
+std::vector<RoundTripPoint>
+roundTripPoints()
+{
+    using campaign::Job;
+    RunOptions options = quickOptions();
+    RunOptions sampled = options;
+    sampled.intervalStats = 500;
+    RunOptions table4 = options;
+    table4.config = GpuConfig::table4();
+    return {
+        {"bunny_ao", Job::rayTracing(quickWorkload(), options)},
+        {"bunny_pt_interval",
+         Job::rayTracing({SceneId::BUNNY, ShaderKind::PathTracing},
+                         sampled)},
+        {"amr_pc",
+         Job::rayTracing({SceneId::AMR, ShaderKind::PointContainment},
+                         options)},
+        {"pts_knn",
+         Job::rayTracing({SceneId::PTS, ShaderKind::Knn}, options)},
+        {"nn", Job::compute(ComputeKernel::Nn, options)},
+        {"kmeans", Job::compute(ComputeKernel::Kmeans, options)},
+        {"bunny_ao_table4", Job::rayTracing(quickWorkload(), table4)},
+    };
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, CacheRoundTrip, ::testing::ValuesIn(roundTripPoints()),
+    [](const ::testing::TestParamInfo<RoundTripPoint> &info) {
+        return std::string(info.param.tag);
+    });
 
 TEST(Interval, SamplingPeriodChangesCacheKey)
 {

@@ -153,7 +153,7 @@ TEST(MetricCsv, WritesHeaderAndRows)
     a.values.assign(metricSchema().size(), 1.5);
     b.values.assign(metricSchema().size(), -0.25);
     std::string path = ::testing::TempDir() + "/metrics_test.csv";
-    writeCsv(path, {a, b});
+    ASSERT_TRUE(writeCsv(path, {a, b}));
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -189,7 +189,7 @@ TEST(MetricCsv, RoundTrip)
     a.values[metricIndex("rt_occupancy")] =
         std::numeric_limits<double>::quiet_NaN();
     std::string path = ::testing::TempDir() + "/roundtrip.csv";
-    writeCsv(path, {a});
+    ASSERT_TRUE(writeCsv(path, {a}));
     std::vector<MetricVector> rows = readCsv(path);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].workload, "ROUND");

@@ -202,7 +202,7 @@ TEST(QueryFilter, WorkloadGlobsMatchFamilies)
 TEST(QueryFilter, ConfigAndSceneGlobsMatch)
 {
     query::ReportRef ref;
-    ref.configName = "mobile";
+    ref.header.config.name = "mobile";
     auto matched = [&](const char *term, const char *id) {
         query::QueryFilter filter;
         EXPECT_TRUE(filter.add(term));
@@ -297,8 +297,8 @@ TEST(Query, IndexAndStatLookup)
     // Sorted file-name order, foreign JSON skipped.
     EXPECT_EQ(index.reports[0].file, "a_ref.json");
     EXPECT_EQ(index.reports[1].file, "b_bunny.json");
-    EXPECT_EQ(index.reports[0].width, 16);
-    EXPECT_EQ(index.reports[0].intervalStats, 500u);
+    EXPECT_EQ(index.reports[0].header.options.width, 16);
+    EXPECT_EQ(index.reports[0].header.options.intervalStats, 500u);
     EXPECT_EQ(index.reports[1].workloads,
               std::vector<std::string>{"BUNNY_AO"});
 

@@ -373,7 +373,8 @@ cmdRun(const std::vector<std::string> &args)
         if (!report_path.empty())
             results.push_back(std::move(result));
     }
-    writeCsv(csv_path, rows);
+    if (!wrote(writeCsv(csv_path, rows), csv_path))
+        return 1;
     if (!report_path.empty() &&
         !wrote(writeRunReport(report_path, results, options),
                report_path))

@@ -9,10 +9,11 @@ A malformed or out-of-range flag value (an integer that does not fit
 its destination, a width x height x spp past an int, a port above
 65535, a non-finite real) exits 2 naming the flag, and so do unknown
 workloads, configs and query keys. A non-finite LUMI_DETAIL warns and
-falls back, and a quick run exits 0. Each case runs with LUMI_QUICK=1
-in a fresh temporary directory under a timeout, so a build that
-ignores a bad flag fails instead of hanging. The cases double as the
-seed corpus of a CLI-parser fuzz target.
+falls back, a quick run exits 0, and a run whose --csv cannot be
+written exits 1. Each case runs with LUMI_QUICK=1 in a fresh
+temporary directory under a timeout, so a build that ignores a bad
+flag fails instead of hanging. The cases double as the seed corpus of
+a CLI-parser fuzz target.
 """
 
 import json
@@ -99,6 +100,13 @@ def main():
 
     code, _, _ = run(binary, RUN)
     check(code == 0, "LUMI_QUICK=1 run --workload BUNNY_AO exits 0")
+
+    # An unwritable output fails the run instead of claiming it.
+    code, stderr, _ = run(binary, RUN + "--csv /nonexistent/dir/x.csv")
+    check(code == 1 and "failed to write /nonexistent/dir/x.csv" in
+          stderr,
+          "run --csv to an unwritable path exits 1 (got exit %s)" %
+          code)
 
     # A non-finite LUMI_DETAIL warns and falls back: the report
     # records a real number, so the cache and --where detail= match.
