@@ -24,11 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "campaign/cache.hh"
 #include "campaign/campaign.hh"
 #include "lumibench/report.hh"
 #include "lumibench/run_report.hh"
 #include "lumibench/runner.hh"
 #include "lumibench/workload.hh"
+#include "metrics/metrics.hh"
 
 namespace lumi
 {
@@ -37,14 +39,15 @@ namespace bench
 
 /**
  * Observability side-channel for the figure/table binaries: when
- * LUMI_REPORT_DIR is set, every simulated workload also drops a
- * machine-readable run report at $LUMI_REPORT_DIR/<id>.report.json,
+ * LUMI_REPORT_DIR is set, every simulated job also drops a
+ * machine-readable run report at $LUMI_REPORT_DIR/<cacheKey(job)>,
  * so a bench sweep leaves analyzable artifacts behind without any
- * per-binary flag plumbing. The directory is created if missing.
+ * per-binary flag plumbing. The file is named like a cache entry, so
+ * one workload under several configs or options keeps one report
+ * per point. The directory is created if missing.
  */
 inline void
-maybeWriteReport(const WorkloadResult &result,
-                 const RunOptions &options)
+maybeWriteReport(const WorkloadResult &result, const campaign::Job &job)
 {
     const char *dir = std::getenv("LUMI_REPORT_DIR");
     if (!dir || !*dir)
@@ -56,9 +59,8 @@ maybeWriteReport(const WorkloadResult &result,
                      dir, ec.message().c_str());
         return;
     }
-    std::string path = std::string(dir) + "/" + result.id +
-                       ".report.json";
-    if (!writeRunReport(path, {result}, options))
+    std::string path = std::string(dir) + "/" + campaign::cacheKey(job);
+    if (!writeRunReport(path, {result}, job.options))
         std::fprintf(stderr, "  failed to write %s\n", path.c_str());
 }
 
@@ -90,8 +92,24 @@ runJobs(const std::vector<campaign::Job> &jobs)
         results.push_back(std::move(outcome.result));
     }
     for (size_t i = 0; i < results.size(); i++)
-        maybeWriteReport(results[i], jobs[i].options);
+        maybeWriteReport(results[i], jobs[i]);
     return results;
+}
+
+/**
+ * The metric @p name of @p result, as collectMetrics() computed it:
+ * a figure column that is a metric reads it here instead of spelling
+ * its formula again. An unknown name exits 1.
+ */
+inline double
+metric(const WorkloadResult &result, const char *name)
+{
+    int index = metricIndex(name);
+    if (index < 0) {
+        std::fprintf(stderr, "bench: unknown metric %s\n", name);
+        std::exit(1);
+    }
+    return result.metrics[static_cast<size_t>(index)];
 }
 
 /** Run a list of workloads, echoing progress to stderr. */

@@ -161,15 +161,10 @@ main()
     TextTable table({"resolution", "cycles", "ipc",
                      "l1d_miss_rate", "rt_occupancy"});
     auto add = [&](const char *label, const WorkloadResult &r) {
-        uint64_t reads = r.l1Rt.reads + r.l1Shader.reads;
-        double miss = reads > 0
-                          ? static_cast<double>(r.l1Rt.misses +
-                                                r.l1Shader.misses) /
-                                reads
-                          : 0.0;
         table.addRow({label, std::to_string(r.stats.cycles),
                       TextTable::num(r.ipcThread(), 2),
-                      TextTable::num(miss, 3),
+                      TextTable::num(metric(r, "l1_read_miss_rate"),
+                                     3),
                       TextTable::num(r.stats.rtOccupancy(r.rtUnits),
                                      2)});
     };

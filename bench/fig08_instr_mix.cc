@@ -28,32 +28,15 @@ main()
     for (SceneId id : lumiScenes())
         workloads.push_back({id, ShaderKind::PathTracing});
     std::vector<WorkloadResult> results = runAll(workloads, options);
+    const char *metrics[] = {"instr_frac_alu", "instr_frac_sfu",
+                             "instr_frac_mem", "instr_frac_trace",
+                             "lat_frac_alu", "lat_frac_sfu",
+                             "lat_frac_mem", "lat_frac_trace"};
     for (size_t w = 0; w < workloads.size(); w++) {
-        SceneId id = workloads[w].scene;
-        const GpuStats &s = results[w].stats;
-        double n = static_cast<double>(s.instructions);
-        double lat = 0.0;
-        for (int i = 0; i < numWarpOps; i++)
-            lat += static_cast<double>(s.latencyByOp[i]);
-        auto cnt_frac = [&](int op) {
-            return TextTable::num(n > 0 ? s.instrByOp[op] / n : 0.0,
-                                  3);
-        };
-        auto lat_frac = [&](int op) {
-            return TextTable::num(
-                lat > 0 ? s.latencyByOp[op] / lat : 0.0, 3);
-        };
-        double cnt_mem = n > 0 ? (static_cast<double>(s.instrByOp[2]) +
-                                  s.instrByOp[3]) / n
-                               : 0.0;
-        double lat_mem =
-            lat > 0 ? (static_cast<double>(s.latencyByOp[2]) +
-                       s.latencyByOp[3]) / lat
-                    : 0.0;
-        table.addRow({sceneName(id), cnt_frac(0), cnt_frac(1),
-                      TextTable::num(cnt_mem, 3), cnt_frac(4),
-                      lat_frac(0), lat_frac(1),
-                      TextTable::num(lat_mem, 3), lat_frac(4)});
+        std::vector<std::string> row = {sceneName(workloads[w].scene)};
+        for (const char *name : metrics)
+            row.push_back(TextTable::num(metric(results[w], name), 3));
+        table.addRow(row);
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("paper expectations: ALU dominates dynamic count; "

@@ -26,10 +26,7 @@ main()
                      "traversal_ratio"});
     double chsnt_ratio = 0.0, max_other = 0.0;
     for (const WorkloadResult &r : results) {
-        double ratio = r.accelStats.totalDepth > 0
-                           ? r.stats.avgTraversalLength() /
-                                 r.accelStats.totalDepth
-                           : 0.0;
+        double ratio = metric(r, "traversal_ratio");
         table.addRow({r.id,
                       std::to_string(r.accelStats.totalDepth),
                       TextTable::num(r.stats.avgTraversalLength(), 2),

@@ -31,18 +31,17 @@ main()
                      "miss_from_rt"});
     double rt_miss_sum = 0.0;
     for (const WorkloadResult &r : results) {
-        uint64_t total = r.l1Rt.reads + r.l1Shader.reads;
         auto rate = [](uint64_t part, uint64_t whole) {
             return whole > 0
                        ? static_cast<double>(part) / whole
                        : 0.0;
         };
         uint64_t misses = r.l1Rt.misses + r.l1Shader.misses;
-        uint64_t cold = r.l1Rt.coldMisses + r.l1Shader.coldMisses;
-        double rt_miss = rate(r.l1Rt.misses, r.l1Rt.reads);
+        double rt_miss = metric(r, "l1_rt_miss_rate");
         rt_miss_sum += rt_miss;
         table.addRow({r.id,
-                      TextTable::num(rate(r.l1Rt.reads, total), 3),
+                      TextTable::num(metric(r, "rt_reads_frac_of_l1"),
+                                     3),
                       TextTable::num(rate(r.l1Rt.hits + r.l1Rt
                                               .pendingHits,
                                           r.l1Rt.reads), 3),
@@ -50,9 +49,10 @@ main()
                       TextTable::num(rate(r.l1Shader.hits +
                                               r.l1Shader.pendingHits,
                                           r.l1Shader.reads), 3),
-                      TextTable::num(rate(r.l1Shader.misses,
-                                          r.l1Shader.reads), 3),
-                      TextTable::num(rate(cold, misses), 3),
+                      TextTable::num(metric(r, "l1_shader_miss_rate"),
+                                     3),
+                      TextTable::num(metric(r, "l1_cold_miss_frac"),
+                                     3),
                       TextTable::num(rate(r.l1Rt.misses, misses),
                                      3)});
     }

@@ -26,6 +26,11 @@ main()
     TextTable table({"workload", "tlas_internal", "tlas_leaf",
                      "blas_internal", "blas_leaf", "instance",
                      "triangle", "procedural", "leaf_share"});
+    const char *metrics[] = {"rt_frac_tlas_internal",
+                             "rt_frac_tlas_leaf",
+                             "rt_frac_blas_internal",
+                             "rt_frac_blas_leaf", "rt_frac_instance",
+                             "rt_frac_triangle", "rt_frac_procedural"};
     double ship_leaf = 0.0, park_leaf = 0.0, others = 0.0;
     int other_count = 0;
     for (const WorkloadResult &r : results) {
@@ -35,23 +40,17 @@ main()
             s.rtBlasInternalFetches + s.rtBlasLeafFetches +
             s.rtInstanceFetches + s.rtTriangleFetches +
             s.rtProceduralFetches);
-        auto frac = [&](uint64_t v) {
-            return TextTable::num(total > 0 ? v / total : 0.0, 3);
-        };
         double leaf_share =
             total > 0
                 ? (static_cast<double>(s.rtBlasLeafFetches) +
                    s.rtTriangleFetches + s.rtProceduralFetches) /
                       total
                 : 0.0;
-        table.addRow({r.id, frac(s.rtTlasInternalFetches),
-                      frac(s.rtTlasLeafFetches),
-                      frac(s.rtBlasInternalFetches),
-                      frac(s.rtBlasLeafFetches),
-                      frac(s.rtInstanceFetches),
-                      frac(s.rtTriangleFetches),
-                      frac(s.rtProceduralFetches),
-                      TextTable::num(leaf_share, 3)});
+        std::vector<std::string> row = {r.id};
+        for (const char *name : metrics)
+            row.push_back(TextTable::num(metric(r, name), 3));
+        row.push_back(TextTable::num(leaf_share, 3));
+        table.addRow(row);
         if (r.id == "SHIP_SH") {
             ship_leaf = leaf_share;
         } else if (r.id == "PARK_PT") {

@@ -59,7 +59,7 @@ main()
         table.addRow({std::to_string(rank++), def.name,
                       def.archIndependent ? "Independent"
                                           : "Dependent",
-                      def.rtSpecific ? "yes" : "no",
+                      def.rtSpecific() ? "yes" : "no",
                       category_name(def.category)});
     }
     std::printf("%s\n", table.render().c_str());

@@ -115,9 +115,6 @@ class AccelStructure
      */
     void refitTlas(const BuilderConfig &config = BuilderConfig{});
 
-    /** Address range of the TLAS node array. */
-    uint64_t tlasNodeBase() const { return tlas_.nodeBase; }
-
   private:
     const Scene *scene_ = nullptr;
     std::vector<BlasAccel> blases_;

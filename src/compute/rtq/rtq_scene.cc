@@ -191,12 +191,6 @@ buildPts(float detail)
 
 } // namespace
 
-bool
-isRtqScene(SceneId id)
-{
-    return id == SceneId::AMR || id == SceneId::PTS;
-}
-
 Scene
 buildRtqScene(SceneId id, float detail)
 {

@@ -33,9 +33,6 @@ namespace lumi
 namespace rtq
 {
 
-/** True for the RTQ query scenes (AMR, PTS). */
-bool isRtqScene(SceneId id);
-
 /** Number of kNN radius levels the PTS scene instantiates. */
 constexpr int knnLevels = 4;
 

@@ -76,9 +76,6 @@ class AddressSpace
 
     const std::vector<AddressRange> &ranges() const { return ranges_; }
 
-    /** Total bytes allocated. */
-    uint64_t totalAllocated() const { return cursor_ - baseAddress; }
-
   private:
     uint64_t cursor_ = baseAddress;
     /** Kept sorted by base for binary-search classification. */

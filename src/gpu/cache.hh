@@ -76,7 +76,6 @@ class Cache
     Cache(uint32_t size_bytes, uint32_t line_bytes, uint32_t ways,
           int latency);
 
-    uint32_t lineBytes() const { return lineBytes_; }
     int latency() const { return latency_; }
 
     /**

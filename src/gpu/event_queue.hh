@@ -62,9 +62,6 @@ class EventQueue
             siftDown(i);
     }
 
-    /** The registered cycle of @p comp. */
-    uint64_t cycleOf(int comp) const { return heap_[pos_[comp]].cycle; }
-
     /** Earliest registered cycle across all components. */
     uint64_t minCycle() const { return heap_[0].cycle; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "check/check.hh"
 #include "gpu/simt_core.hh"
@@ -89,7 +88,6 @@ RtUnit::admit(const PendingWarp &pending, uint64_t now)
     const WarpInstr &instr = *pending.instr;
     slot.rayKind = instr.rayKind;
     slot.admitCycle = now;
-    slot.rayLifetimeSum = 0;
     slot.nodeFetches = 0;
     slot.rays.clear();
     // The packed ray payload must carry exactly one ray per active
@@ -257,7 +255,6 @@ RtUnit::advanceRay(uint32_t warp_index, uint32_t ray_index,
         warp.remaining--;
         activeRays_--;
         raysByKind_[warp.rayKind]--;
-        warp.rayLifetimeSum += now - warp.admitCycle;
         // Fold this ray's traversal statistics into the run totals.
         const TraversalStats &ts = ray.machine->stats();
         stats_.rtNodesTraversed += ts.nodesVisited();
@@ -438,19 +435,6 @@ RtUnit::completeWarp(uint32_t warp_index, uint64_t now)
                       now, "kind",
                       static_cast<uint64_t>(warp.rayKind), "nodes",
                       warp.nodeFetches);
-    }
-    static const bool trace_warps = std::getenv("LUMI_RT_TRACE");
-    if (trace_warps) {
-        uint64_t residency = now - warp.admitCycle;
-        std::fprintf(stderr,
-                     "rtwarp sm=%d kind=%d lanes=%zu res=%llu "
-                     "eff=%.3f\n",
-                     smId_, warp.rayKind, warp.rays.size(),
-                     static_cast<unsigned long long>(residency),
-                     residency > 0
-                         ? static_cast<double>(warp.rayLifetimeSum) /
-                               (32.0 * residency)
-                         : 0.0);
     }
     SimtCore *core = warp.core;
     int slot = warp.warpSlot;

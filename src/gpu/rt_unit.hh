@@ -120,8 +120,6 @@ class RtUnit
         uint32_t warpId = 0;
         int rayKind = 0;
         uint64_t admitCycle = 0;
-        /** Sum of completed rays' (doneCycle - admitCycle). */
-        uint64_t rayLifetimeSum = 0;
         /** Node/primitive fetches issued by this warp (trace arg). */
         uint64_t nodeFetches = 0;
         std::vector<RayState> rays;

@@ -53,8 +53,6 @@ class SimtCore
              RtUnit &rt_unit, GpuStats &stats,
              Tracer *tracer = nullptr);
 
-    int smId() const { return smId_; }
-
     /** True while any warp slot is occupied. */
     bool busy() const { return residentWarps_ > 0; }
 

@@ -145,8 +145,6 @@ WarpContext::traceRay(const std::function<Ray(int)> &ray_fn,
             static_cast<uint32_t>(machine.intersectionQueue().size());
         anyhit_records[lane] = machine.anyHitQueue();
         isect_records[lane] = machine.intersectionQueue();
-        anyHitCount_ += anyhit_counts[lane];
-        intersectionCount_ += isect_counts[lane];
         if (out_candidates)
             out_candidates[lane] = isect_records[lane];
     }

@@ -134,8 +134,6 @@ class WarpContext
 
     /** Functional-side ray counts by kind (for workload metrics). */
     const uint64_t *rayCounts() const { return rayCounts_; }
-    uint64_t anyHitCount() const { return anyHitCount_; }
-    uint64_t intersectionCount() const { return intersectionCount_; }
 
   private:
     /** Divergence nesting beyond this is treated as runaway. */
@@ -155,8 +153,6 @@ class WarpContext
     WarpProgram program_;
 
     uint64_t rayCounts_[numRayKinds] = {};
-    uint64_t anyHitCount_ = 0;
-    uint64_t intersectionCount_ = 0;
 };
 
 } // namespace lumi

@@ -1,8 +1,10 @@
 #include "metrics/metrics.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <unordered_map>
 
@@ -13,111 +15,6 @@ namespace
 {
 
 constexpr double nan_value = std::numeric_limits<double>::quiet_NaN();
-
-std::vector<MetricDef>
-buildSchema()
-{
-    using C = MetricCategory;
-    std::vector<MetricDef> schema;
-    auto add = [&](const char *name, C cat, bool rt, bool indep) {
-        schema.push_back({name, cat, rt, indep});
-    };
-
-    // ---- Group 1: 35 general GPU metrics ----
-    add("ipc_thread", C::Performance, false, false);
-    add("ipc_warp", C::Performance, false, false);
-    add("simt_efficiency", C::Performance, false, true);
-    add("instr_total_log", C::Instruction, false, true);
-    add("instr_frac_alu", C::Instruction, false, true);
-    add("instr_frac_sfu", C::Instruction, false, true);
-    add("instr_frac_mem", C::Instruction, false, true);
-    add("instr_frac_trace", C::Instruction, false, true);
-    add("lat_frac_alu", C::Instruction, false, false);
-    add("lat_frac_sfu", C::Instruction, false, false);
-    add("lat_frac_mem", C::Instruction, false, false);
-    add("lat_frac_trace", C::Instruction, false, false);
-    add("loads_per_kinstr", C::Memory, false, true);
-    add("stores_per_kinstr", C::Memory, false, true);
-    add("segments_per_mem_instr", C::Memory, false, true);
-    add("l1_read_miss_rate", C::Memory, false, false);
-    add("l1_shader_miss_rate", C::Memory, false, false);
-    add("l1_pending_hit_rate", C::Memory, false, false);
-    add("l1_cold_miss_frac", C::Memory, false, false);
-    add("l2_read_miss_rate", C::Memory, false, false);
-    add("l2_reads_per_kcycle", C::Memory, false, false);
-    add("dram_reads_per_kcycle", C::Memory, false, false);
-    add("dram_row_locality", C::Memory, false, false);
-    add("dram_avg_latency", C::Memory, false, false);
-    add("dram_utilization", C::Memory, false, false);
-    add("dram_efficiency", C::Memory, false, false);
-    add("dram_read_bytes_per_cycle", C::Memory, false, false);
-    add("dram_write_frac", C::Memory, false, false);
-    add("warp_occupancy", C::Performance, false, false);
-    add("issue_utilization", C::Performance, false, false);
-    add("instr_per_warp", C::Instruction, false, true);
-    add("threads_log", C::Instruction, false, true);
-    add("l1_writes_per_kinstr", C::Memory, false, false);
-    add("avg_mem_latency", C::Memory, false, false);
-    add("cycles_log", C::Performance, false, false);
-
-    // ---- Group 2: 29 RT-unit metrics ----
-    add("rt_occupancy", C::Shader, true, false);
-    add("rt_efficiency", C::Shader, true, false);
-    add("rt_active_frac", C::Shader, true, false);
-    add("rt_avg_active_cycles", C::Shader, true, false);
-    add("rays_per_kcycle", C::Shader, true, false);
-    add("rays_total_log", C::Shader, true, true);
-    add("avg_traversal_length", C::Shader, true, true);
-    add("traversal_ratio", C::Shader, true, true);
-    add("box_tests_per_ray", C::Shader, true, true);
-    add("tri_tests_per_ray", C::Shader, true, true);
-    add("proc_tests_per_ray", C::Shader, true, true);
-    add("rt_frac_tlas_internal", C::Scene, true, true);
-    add("rt_frac_tlas_leaf", C::Scene, true, true);
-    add("rt_frac_blas_internal", C::Scene, true, true);
-    add("rt_frac_blas_leaf", C::Scene, true, true);
-    add("rt_frac_instance", C::Scene, true, true);
-    add("rt_frac_triangle", C::Scene, true, true);
-    add("rt_frac_procedural", C::Scene, true, true);
-    add("rt_frac_bvh_nodes", C::Scene, true, true);
-    add("l1_rt_read_hit_rate", C::Memory, true, false);
-    add("l1_rt_miss_rate", C::Memory, true, false);
-    add("l1_rt_reads_per_ray", C::Memory, true, false);
-    add("rt_mem_writes_per_ray", C::Shader, true, false);
-    add("anyhit_per_ray", C::Shader, true, true);
-    add("isect_per_ray", C::Shader, true, true);
-    add("ray_hit_rate", C::Shader, true, true);
-    add("trace_latency_avg", C::Shader, true, false);
-    add("rays_per_warp_trace", C::Shader, true, true);
-    add("rt_reads_frac_of_l1", C::Memory, true, false);
-
-    // ---- Group 3: 23 scene/shader characteristics ----
-    add("scene_tris_log", C::Scene, true, true);
-    add("scene_proc_prims_log", C::Scene, true, true);
-    add("scene_instances_log", C::Scene, true, true);
-    add("scene_instanced_prims_log", C::Scene, true, true);
-    add("scene_blas_count_log", C::Scene, true, true);
-    add("bvh_tlas_depth", C::Scene, true, true);
-    add("bvh_max_blas_depth", C::Scene, true, true);
-    add("bvh_total_depth", C::Scene, true, true);
-    add("bvh_nodes_log", C::Scene, true, true);
-    add("bvh_sibling_overlap", C::Scene, true, true);
-    add("scene_footprint_log", C::Scene, true, true);
-    add("scene_num_lights", C::Scene, true, true);
-    add("scene_num_textures", C::Scene, true, true);
-    add("scene_enclosed", C::Scene, true, true);
-    add("scene_uses_anyhit", C::Scene, true, true);
-    add("scene_uses_procedural", C::Scene, true, true);
-    add("shader_is_pt", C::Shader, true, true);
-    add("shader_is_sh", C::Shader, true, true);
-    add("shader_is_ao", C::Shader, true, true);
-    add("rays_frac_primary", C::Shader, true, true);
-    add("rays_frac_secondary", C::Shader, true, true);
-    add("rays_frac_shadow", C::Shader, true, true);
-    add("rays_frac_ao", C::Shader, true, true);
-
-    return schema;
-}
 
 double
 safeDiv(double a, double b)
@@ -131,12 +28,277 @@ log10p1(double v)
     return std::log10(1.0 + std::max(0.0, v));
 }
 
+/** Sum of a counter array, accumulated in double in index order. */
+template <size_t N>
+double
+total(const uint64_t (&counts)[N])
+{
+    double sum = 0.0;
+    for (uint64_t count : counts)
+        sum += static_cast<double>(count);
+    return sum;
+}
+
+/**
+ * What the formulas read: the finished simulation, the workload
+ * context (null for compute kernels) and the sums several formulas
+ * share. scene and accel are null when the context lacks them.
+ */
+struct Run
+{
+    Run(const Gpu &gpu, const WorkloadContext *workload)
+        : s(gpu.stats()), mem(gpu.memSystem()), config(gpu.config()),
+          context(workload)
+    {
+    }
+
+    const GpuStats &s;
+    const MemSystem &mem;
+    const GpuConfig &config;
+    const WorkloadContext *context;
+    const DramStats &dram = mem.dram().stats();
+    const RequesterStats &l1Rt = mem.l1Rt();
+    const RequesterStats &l1Sh = mem.l1Shader();
+    const Scene *scene = context ? context->scene : nullptr;
+    const AccelStats *accel = context ? context->accelStats : nullptr;
+    double cycles = static_cast<double>(s.cycles);
+    double instr = static_cast<double>(s.instructions);
+    double latTotal = total(s.latencyByOp);
+    double rays = static_cast<double>(s.raysTraced);
+    double rayTotal = total(s.raysByKind);
+    double rtUnits =
+        static_cast<double>(config.numSms) * config.rtUnitsPerSm;
+    double fetches = static_cast<double>(
+        s.rtTlasInternalFetches + s.rtTlasLeafFetches +
+        s.rtBlasInternalFetches + s.rtBlasLeafFetches +
+        s.rtInstanceFetches + s.rtTriangleFetches +
+        s.rtProceduralFetches);
+    uint64_t l1Reads = l1Rt.reads + l1Sh.reads;
+    uint64_t l1Misses = l1Rt.misses + l1Sh.misses;
+    uint64_t l2Reads = mem.l2Rt().reads + mem.l2Shader().reads;
+};
+
+/** One metric: its schema entry and its formula. */
+struct MetricEntry
+{
+    const char *name;
+    MetricCategory category;
+    MetricGroup group;
+    bool archIndependent;
+    double (*formula)(const Run &);
+};
+
+// One table entry; FORMULA is an expression over the Run `r`.
+#define METRIC(NAME, CATEGORY, GROUP, INDEPENDENT, FORMULA)              \
+    {NAME, MetricCategory::CATEGORY, MetricGroup::GROUP, INDEPENDENT,    \
+     [](const Run &r) -> double { return FORMULA; }}
+
+/**
+ * The metric vector in column order: 35 GPU, 29 RT-unit and 23
+ * scene/shader metrics (Sec. 3.4, Table 3). A formula runs only when
+ * its group is defined for the run (collectMetrics()).
+ */
+constexpr MetricEntry metricTable[] = {
+    // ---- GPU ----
+    METRIC("ipc_thread", Performance, Gpu, false,
+           safeDiv(r.s.threadInstructions, r.cycles)),
+    METRIC("ipc_warp", Performance, Gpu, false,
+           safeDiv(r.instr, r.cycles)),
+    METRIC("simt_efficiency", Performance, Gpu, true,
+           r.s.simtEfficiency()),
+    METRIC("instr_total_log", Instruction, Gpu, true, log10p1(r.instr)),
+    METRIC("instr_frac_alu", Instruction, Gpu, true,
+           safeDiv(r.s.instrByOp[0], r.instr)),
+    METRIC("instr_frac_sfu", Instruction, Gpu, true,
+           safeDiv(r.s.instrByOp[1], r.instr)),
+    METRIC("instr_frac_mem", Instruction, Gpu, true,
+           safeDiv(static_cast<double>(r.s.instrByOp[2]) +
+                       r.s.instrByOp[3],
+                   r.instr)),
+    METRIC("instr_frac_trace", Instruction, Gpu, true,
+           safeDiv(r.s.instrByOp[4], r.instr)),
+    METRIC("lat_frac_alu", Instruction, Gpu, false,
+           safeDiv(r.s.latencyByOp[0], r.latTotal)),
+    METRIC("lat_frac_sfu", Instruction, Gpu, false,
+           safeDiv(r.s.latencyByOp[1], r.latTotal)),
+    METRIC("lat_frac_mem", Instruction, Gpu, false,
+           safeDiv(static_cast<double>(r.s.latencyByOp[2]) +
+                       r.s.latencyByOp[3],
+                   r.latTotal)),
+    METRIC("lat_frac_trace", Instruction, Gpu, false,
+           safeDiv(r.s.latencyByOp[4], r.latTotal)),
+    METRIC("loads_per_kinstr", Memory, Gpu, true,
+           safeDiv(1000.0 * r.s.instrByOp[2], r.instr)),
+    METRIC("stores_per_kinstr", Memory, Gpu, true,
+           safeDiv(1000.0 * r.s.instrByOp[3], r.instr)),
+    METRIC("segments_per_mem_instr", Memory, Gpu, true,
+           safeDiv(r.s.coalescedSegments, r.s.memInstructions)),
+    METRIC("l1_read_miss_rate", Memory, Gpu, false,
+           safeDiv(r.l1Misses, r.l1Reads)),
+    METRIC("l1_shader_miss_rate", Memory, Gpu, false,
+           safeDiv(r.l1Sh.misses, r.l1Sh.reads)),
+    METRIC("l1_pending_hit_rate", Memory, Gpu, false,
+           safeDiv(r.l1Rt.pendingHits + r.l1Sh.pendingHits, r.l1Reads)),
+    METRIC("l1_cold_miss_frac", Memory, Gpu, false,
+           safeDiv(r.l1Rt.coldMisses + r.l1Sh.coldMisses, r.l1Misses)),
+    METRIC("l2_read_miss_rate", Memory, Gpu, false,
+           safeDiv(r.mem.l2Rt().misses + r.mem.l2Shader().misses,
+                   r.l2Reads)),
+    METRIC("l2_reads_per_kcycle", Memory, Gpu, false,
+           safeDiv(1000.0 * r.l2Reads, r.cycles)),
+    METRIC("dram_reads_per_kcycle", Memory, Gpu, false,
+           safeDiv(1000.0 * r.dram.accesses, r.cycles)),
+    METRIC("dram_row_locality", Memory, Gpu, false,
+           r.dram.rowLocality()),
+    METRIC("dram_avg_latency", Memory, Gpu, false, r.dram.avgLatency()),
+    METRIC("dram_utilization", Memory, Gpu, false,
+           r.dram.utilization(r.s.cycles)),
+    METRIC("dram_efficiency", Memory, Gpu, false, r.dram.efficiency()),
+    METRIC("dram_read_bytes_per_cycle", Memory, Gpu, false,
+           safeDiv(r.dram.readBytes, r.cycles)),
+    METRIC("dram_write_frac", Memory, Gpu, false,
+           safeDiv(r.dram.writeBytes,
+                   static_cast<double>(r.dram.readBytes) +
+                       r.dram.writeBytes)),
+    METRIC("warp_occupancy", Performance, Gpu, false,
+           safeDiv(r.s.warpCyclesResident,
+                   r.cycles * r.config.numSms * r.config.maxWarpsPerSm)),
+    METRIC("issue_utilization", Performance, Gpu, false,
+           safeDiv(r.s.issueCycles, r.cycles * r.config.numSms)),
+    METRIC("instr_per_warp", Instruction, Gpu, true,
+           safeDiv(r.instr, r.s.warpsLaunched)),
+    METRIC("threads_log", Instruction, Gpu, true,
+           log10p1(static_cast<double>(r.s.warpsLaunched) * 32.0)),
+    METRIC("l1_writes_per_kinstr", Memory, Gpu, false,
+           safeDiv(1000.0 * (r.l1Rt.writes + r.l1Sh.writes), r.instr)),
+    METRIC("avg_mem_latency", Memory, Gpu, false,
+           safeDiv(r.s.latencyByOp[2], r.s.instrByOp[2])),
+    METRIC("cycles_log", Performance, Gpu, false, log10p1(r.cycles)),
+
+    // ---- RT unit ----
+    METRIC("rt_occupancy", Shader, Rt, false,
+           r.s.rtOccupancy(static_cast<int>(r.rtUnits))),
+    METRIC("rt_efficiency", Shader, Rt, false, r.s.rtEfficiency()),
+    METRIC("rt_active_frac", Shader, Rt, false,
+           safeDiv(r.s.rtActiveCycles, r.cycles * r.rtUnits)),
+    METRIC("rt_avg_active_cycles", Shader, Rt, false,
+           safeDiv(r.s.rtActiveCycles, r.rtUnits)),
+    METRIC("rays_per_kcycle", Shader, Rt, false,
+           safeDiv(1000.0 * r.rays, r.cycles)),
+    METRIC("rays_total_log", Shader, Rt, true, log10p1(r.rays)),
+    METRIC("avg_traversal_length", Shader, Rt, true,
+           r.s.avgTraversalLength()),
+    METRIC("traversal_ratio", Shader, Rt, true,
+           r.accel && r.accel->totalDepth > 0
+               ? r.s.avgTraversalLength() / r.accel->totalDepth
+               : 0.0),
+    METRIC("box_tests_per_ray", Shader, Rt, true,
+           safeDiv(r.s.rtBoxTests, r.rays)),
+    METRIC("tri_tests_per_ray", Shader, Rt, true,
+           safeDiv(r.s.rtTriangleTests, r.rays)),
+    METRIC("proc_tests_per_ray", Shader, Rt, true,
+           safeDiv(r.s.rtProceduralTests, r.rays)),
+    METRIC("rt_frac_tlas_internal", Scene, Rt, true,
+           safeDiv(r.s.rtTlasInternalFetches, r.fetches)),
+    METRIC("rt_frac_tlas_leaf", Scene, Rt, true,
+           safeDiv(r.s.rtTlasLeafFetches, r.fetches)),
+    METRIC("rt_frac_blas_internal", Scene, Rt, true,
+           safeDiv(r.s.rtBlasInternalFetches, r.fetches)),
+    METRIC("rt_frac_blas_leaf", Scene, Rt, true,
+           safeDiv(r.s.rtBlasLeafFetches, r.fetches)),
+    METRIC("rt_frac_instance", Scene, Rt, true,
+           safeDiv(r.s.rtInstanceFetches, r.fetches)),
+    METRIC("rt_frac_triangle", Scene, Rt, true,
+           safeDiv(r.s.rtTriangleFetches, r.fetches)),
+    METRIC("rt_frac_procedural", Scene, Rt, true,
+           safeDiv(r.s.rtProceduralFetches, r.fetches)),
+    METRIC("rt_frac_bvh_nodes", Scene, Rt, true,
+           safeDiv(static_cast<double>(r.s.rtTlasInternalFetches) +
+                       r.s.rtTlasLeafFetches +
+                       r.s.rtBlasInternalFetches +
+                       r.s.rtBlasLeafFetches,
+                   r.fetches)),
+    METRIC("l1_rt_read_hit_rate", Memory, Rt, false,
+           safeDiv(r.l1Rt.hits, r.l1Rt.reads)),
+    METRIC("l1_rt_miss_rate", Memory, Rt, false,
+           safeDiv(r.l1Rt.misses, r.l1Rt.reads)),
+    METRIC("l1_rt_reads_per_ray", Memory, Rt, false,
+           safeDiv(r.l1Rt.reads, r.rays)),
+    METRIC("rt_mem_writes_per_ray", Shader, Rt, false,
+           safeDiv(r.s.rtResultWrites, r.rays)),
+    METRIC("anyhit_per_ray", Shader, Rt, true,
+           safeDiv(r.s.anyHitInvocations, r.rays)),
+    METRIC("isect_per_ray", Shader, Rt, true,
+           safeDiv(r.s.intersectionInvocations, r.rays)),
+    METRIC("ray_hit_rate", Shader, Rt, true,
+           safeDiv(r.s.raysHit, r.rays)),
+    METRIC("trace_latency_avg", Shader, Rt, false,
+           safeDiv(r.s.latencyByOp[4], r.s.instrByOp[4])),
+    METRIC("rays_per_warp_trace", Shader, Rt, true,
+           safeDiv(r.rays, r.s.instrByOp[4])),
+    METRIC("rt_reads_frac_of_l1", Memory, Rt, false,
+           safeDiv(r.l1Rt.reads, r.l1Reads)),
+
+    // ---- Scene/shader ----
+    METRIC("scene_tris_log", Scene, Scene, true,
+           log10p1(r.accel->uniqueTriangles)),
+    METRIC("scene_proc_prims_log", Scene, Scene, true,
+           log10p1(r.accel->uniqueProceduralPrims)),
+    METRIC("scene_instances_log", Scene, Scene, true,
+           log10p1(r.accel->instances)),
+    METRIC("scene_instanced_prims_log", Scene, Scene, true,
+           log10p1(r.accel->instancedPrimitives)),
+    METRIC("scene_blas_count_log", Scene, Scene, true,
+           log10p1(r.accel->blasCount)),
+    METRIC("bvh_tlas_depth", Scene, Scene, true, r.accel->tlasDepth),
+    METRIC("bvh_max_blas_depth", Scene, Scene, true,
+           r.accel->maxBlasDepth),
+    METRIC("bvh_total_depth", Scene, Scene, true, r.accel->totalDepth),
+    METRIC("bvh_nodes_log", Scene, Scene, true,
+           log10p1(r.accel->blasNodes + r.accel->tlasNodes)),
+    METRIC("bvh_sibling_overlap", Scene, Scene, true,
+           r.accel->avgSiblingOverlap),
+    METRIC("scene_footprint_log", Scene, Scene, true,
+           log10p1(r.accel->memoryFootprintBytes)),
+    METRIC("scene_num_lights", Scene, Scene, true,
+           r.scene->lights.size()),
+    METRIC("scene_num_textures", Scene, Scene, true,
+           r.scene->textures.size()),
+    METRIC("scene_enclosed", Scene, Scene, true, r.scene->enclosed),
+    METRIC("scene_uses_anyhit", Scene, Scene, true,
+           r.scene->usesAnyHit()),
+    METRIC("scene_uses_procedural", Scene, Scene, true,
+           r.scene->proceduralGeometryCount() > 0),
+    METRIC("shader_is_pt", Shader, Scene, true,
+           r.context->shader == ShaderKind::PathTracing),
+    METRIC("shader_is_sh", Shader, Scene, true,
+           r.context->shader == ShaderKind::Shadow),
+    METRIC("shader_is_ao", Shader, Scene, true,
+           r.context->shader == ShaderKind::AmbientOcclusion),
+    METRIC("rays_frac_primary", Shader, Scene, true,
+           safeDiv(r.s.raysByKind[0], r.rayTotal)),
+    METRIC("rays_frac_secondary", Shader, Scene, true,
+           safeDiv(r.s.raysByKind[1], r.rayTotal)),
+    METRIC("rays_frac_shadow", Shader, Scene, true,
+           safeDiv(r.s.raysByKind[2], r.rayTotal)),
+    METRIC("rays_frac_ao", Shader, Scene, true,
+           safeDiv(r.s.raysByKind[3], r.rayTotal)),
+};
+
+#undef METRIC
+
 } // namespace
 
 const std::vector<MetricDef> &
 metricSchema()
 {
-    static const std::vector<MetricDef> schema = buildSchema();
+    static const std::vector<MetricDef> schema = [] {
+        std::vector<MetricDef> defs;
+        for (const MetricEntry &m : metricTable)
+            defs.push_back({m.name, m.category, m.group,
+                            m.archIndependent});
+        return defs;
+    }();
     return schema;
 }
 
@@ -157,169 +319,16 @@ metricIndex(const std::string &name)
 MetricVector
 collectMetrics(const Gpu &gpu, const WorkloadContext *context)
 {
-    const GpuStats &s = gpu.stats();
-    const MemSystem &mem = gpu.memSystem();
-    const GpuConfig &config = gpu.config();
-    const DramStats &dram = mem.dram().stats();
-
+    const Run run(gpu, context);
+    const bool has_rt = context && run.s.raysTraced > 0;
+    const bool has_scene = run.scene && run.accel;
     MetricVector row;
-    row.values.reserve(metricSchema().size());
-    auto push = [&](double v) { row.values.push_back(v); };
-
-    double cycles = static_cast<double>(s.cycles);
-    double instr = static_cast<double>(s.instructions);
-    double rt_units = static_cast<double>(config.numSms) *
-                      config.rtUnitsPerSm;
-
-    uint64_t l1_reads = mem.l1Rt().reads + mem.l1Shader().reads;
-    uint64_t l1_hits = mem.l1Rt().hits + mem.l1Shader().hits;
-    uint64_t l1_pending = mem.l1Rt().pendingHits +
-                          mem.l1Shader().pendingHits;
-    uint64_t l1_misses = mem.l1Rt().misses + mem.l1Shader().misses;
-    uint64_t l1_cold = mem.l1Rt().coldMisses +
-                       mem.l1Shader().coldMisses;
-    uint64_t l2_reads = mem.l2Rt().reads + mem.l2Shader().reads;
-    uint64_t l2_misses = mem.l2Rt().misses + mem.l2Shader().misses;
-    (void)l1_hits;
-
-    // ---- Group 1 ----
-    push(safeDiv(static_cast<double>(s.threadInstructions), cycles));
-    push(safeDiv(instr, cycles));
-    push(s.simtEfficiency());
-    push(log10p1(instr));
-    push(safeDiv(s.instrByOp[0], instr));
-    push(safeDiv(s.instrByOp[1], instr));
-    push(safeDiv(static_cast<double>(s.instrByOp[2]) + s.instrByOp[3],
-                 instr));
-    push(safeDiv(s.instrByOp[4], instr));
-    double lat_total = 0;
-    for (int i = 0; i < numWarpOps; i++)
-        lat_total += static_cast<double>(s.latencyByOp[i]);
-    push(safeDiv(s.latencyByOp[0], lat_total));
-    push(safeDiv(s.latencyByOp[1], lat_total));
-    push(safeDiv(static_cast<double>(s.latencyByOp[2]) +
-                     s.latencyByOp[3],
-                 lat_total));
-    push(safeDiv(s.latencyByOp[4], lat_total));
-    push(safeDiv(1000.0 * s.instrByOp[2], instr));
-    push(safeDiv(1000.0 * s.instrByOp[3], instr));
-    push(safeDiv(s.coalescedSegments, s.memInstructions));
-    push(safeDiv(l1_misses, l1_reads));
-    push(safeDiv(mem.l1Shader().misses, mem.l1Shader().reads));
-    push(safeDiv(l1_pending, l1_reads));
-    push(safeDiv(l1_cold, l1_misses));
-    push(safeDiv(l2_misses, l2_reads));
-    push(safeDiv(1000.0 * l2_reads, cycles));
-    push(safeDiv(1000.0 * dram.accesses, cycles));
-    push(dram.rowLocality());
-    push(dram.avgLatency());
-    push(dram.utilization(s.cycles));
-    push(dram.efficiency());
-    push(safeDiv(static_cast<double>(dram.readBytes), cycles));
-    push(safeDiv(dram.writeBytes,
-                 static_cast<double>(dram.readBytes) +
-                     dram.writeBytes));
-    push(safeDiv(s.warpCyclesResident,
-                 cycles * config.numSms * config.maxWarpsPerSm));
-    push(safeDiv(s.issueCycles, cycles * config.numSms));
-    push(safeDiv(instr, s.warpsLaunched));
-    push(log10p1(static_cast<double>(s.warpsLaunched) * 32.0));
-    push(safeDiv(1000.0 * (mem.l1Rt().writes + mem.l1Shader().writes),
-                 instr));
-    push(safeDiv(s.latencyByOp[2],
-                 static_cast<double>(s.instrByOp[2])));
-    push(log10p1(cycles));
-
-    // ---- Group 2 (RT) ----
-    bool has_rt = context != nullptr && s.raysTraced > 0;
-    double rays = static_cast<double>(s.raysTraced);
-    uint64_t rt_fetches = s.rtTlasInternalFetches +
-                          s.rtTlasLeafFetches +
-                          s.rtBlasInternalFetches +
-                          s.rtBlasLeafFetches + s.rtInstanceFetches +
-                          s.rtTriangleFetches + s.rtProceduralFetches;
-    double fetches = static_cast<double>(rt_fetches);
-    int bvh_depth = context && context->accelStats
-                        ? context->accelStats->totalDepth
-                        : 0;
-    if (has_rt) {
-        push(s.rtOccupancy(static_cast<int>(rt_units)));
-        push(s.rtEfficiency());
-        push(safeDiv(s.rtActiveCycles, cycles * rt_units));
-        push(safeDiv(s.rtActiveCycles, rt_units));
-        push(safeDiv(1000.0 * rays, cycles));
-        push(log10p1(rays));
-        push(s.avgTraversalLength());
-        push(bvh_depth > 0
-                 ? s.avgTraversalLength() / bvh_depth
-                 : 0.0);
-        push(safeDiv(s.rtBoxTests, rays));
-        push(safeDiv(s.rtTriangleTests, rays));
-        push(safeDiv(s.rtProceduralTests, rays));
-        push(safeDiv(s.rtTlasInternalFetches, fetches));
-        push(safeDiv(s.rtTlasLeafFetches, fetches));
-        push(safeDiv(s.rtBlasInternalFetches, fetches));
-        push(safeDiv(s.rtBlasLeafFetches, fetches));
-        push(safeDiv(s.rtInstanceFetches, fetches));
-        push(safeDiv(s.rtTriangleFetches, fetches));
-        push(safeDiv(s.rtProceduralFetches, fetches));
-        push(safeDiv(static_cast<double>(s.rtTlasInternalFetches) +
-                         s.rtTlasLeafFetches +
-                         s.rtBlasInternalFetches +
-                         s.rtBlasLeafFetches,
-                     fetches));
-        push(safeDiv(mem.l1Rt().hits, mem.l1Rt().reads));
-        push(safeDiv(mem.l1Rt().misses, mem.l1Rt().reads));
-        push(safeDiv(mem.l1Rt().reads, rays));
-        push(safeDiv(s.rtResultWrites, rays));
-        push(safeDiv(s.anyHitInvocations, rays));
-        push(safeDiv(s.intersectionInvocations, rays));
-        push(safeDiv(s.raysHit, rays));
-        push(safeDiv(s.latencyByOp[4],
-                     static_cast<double>(s.instrByOp[4])));
-        push(safeDiv(rays, s.instrByOp[4]));
-        push(safeDiv(mem.l1Rt().reads, l1_reads));
-    } else {
-        for (int i = 0; i < 29; i++)
-            push(nan_value);
+    row.values.reserve(std::size(metricTable));
+    for (const MetricEntry &m : metricTable) {
+        bool defined = m.group == MetricGroup::Gpu ||
+                       (m.group == MetricGroup::Rt ? has_rt : has_scene);
+        row.values.push_back(defined ? m.formula(run) : nan_value);
     }
-
-    // ---- Group 3 (scene/shader) ----
-    if (context && context->scene && context->accelStats) {
-        const Scene &scene = *context->scene;
-        const AccelStats &a = *context->accelStats;
-        push(log10p1(static_cast<double>(a.uniqueTriangles)));
-        push(log10p1(static_cast<double>(a.uniqueProceduralPrims)));
-        push(log10p1(static_cast<double>(a.instances)));
-        push(log10p1(static_cast<double>(a.instancedPrimitives)));
-        push(log10p1(static_cast<double>(a.blasCount)));
-        push(a.tlasDepth);
-        push(a.maxBlasDepth);
-        push(a.totalDepth);
-        push(log10p1(static_cast<double>(a.blasNodes + a.tlasNodes)));
-        push(a.avgSiblingOverlap);
-        push(log10p1(static_cast<double>(a.memoryFootprintBytes)));
-        push(static_cast<double>(scene.lights.size()));
-        push(static_cast<double>(scene.textures.size()));
-        push(scene.enclosed ? 1.0 : 0.0);
-        push(scene.usesAnyHit() ? 1.0 : 0.0);
-        push(scene.proceduralGeometryCount() > 0 ? 1.0 : 0.0);
-        push(context->shader == ShaderKind::PathTracing ? 1.0 : 0.0);
-        push(context->shader == ShaderKind::Shadow ? 1.0 : 0.0);
-        push(context->shader == ShaderKind::AmbientOcclusion ? 1.0
-                                                             : 0.0);
-        double ray_total = 0;
-        for (int k = 0; k < numRayKinds; k++)
-            ray_total += static_cast<double>(s.raysByKind[k]);
-        push(safeDiv(s.raysByKind[0], ray_total));
-        push(safeDiv(s.raysByKind[1], ray_total));
-        push(safeDiv(s.raysByKind[2], ray_total));
-        push(safeDiv(s.raysByKind[3], ray_total));
-    } else {
-        for (int i = 0; i < 23; i++)
-            push(nan_value);
-    }
-
     return row;
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
  * The LumiBench metric vector (Sec. 3.4): 35 general GPU metrics, 29
- * RT-unit metrics and 23 scene/shader characteristics, each tagged
- * with its category and whether it is microarchitecture-independent
- * (the MICA distinction of Table 3).
+ * RT-unit metrics and 23 scene/shader characteristics. One table in
+ * metrics.cc holds each metric's name, category, group, whether it
+ * is microarchitecture-independent (the MICA distinction of Table
+ * 3) and its formula; the schema, the name index and collection are
+ * all read off that table.
  *
  * Compute (Rodinia) workloads populate only the GPU group; the RT and
  * scene groups are NaN and excluded from any combined analysis, as in
@@ -34,15 +36,29 @@ enum class MetricCategory
     Performance,
 };
 
+/**
+ * The paper's three metric groups. The group decides when a metric
+ * is NaN: RT metrics without a workload context or when no ray was
+ * traced, scene metrics without a scene and its accel stats.
+ */
+enum class MetricGroup
+{
+    Gpu,
+    Rt,
+    Scene,
+};
+
 /** Static description of one metric. */
 struct MetricDef
 {
     std::string name;
     MetricCategory category;
-    /** True when the metric needs the RT unit (excluded for compute). */
-    bool rtSpecific = false;
+    MetricGroup group;
     /** False when the value depends on the simulated hardware. */
     bool archIndependent = false;
+
+    /** True when the metric needs the RT unit (excluded for compute). */
+    bool rtSpecific() const { return group != MetricGroup::Gpu; }
 };
 
 /** One workload's metric values, aligned with metricSchema(). */

@@ -183,18 +183,4 @@ StatRegistry::toJson() const
     return json.str();
 }
 
-bool
-StatRegistry::writeJson(const std::string &path) const
-{
-    FILE *file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    std::string body = toJson();
-    bool ok = std::fwrite(body.data(), 1, body.size(), file) ==
-              body.size();
-    if (std::fclose(file) != 0)
-        ok = false;
-    return ok;
-}
-
 } // namespace lumi

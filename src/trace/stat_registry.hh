@@ -131,9 +131,6 @@ class StatRegistry
      */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; false on any I/O failure. */
-    bool writeJson(const std::string &path) const;
-
   private:
     struct Entry
     {

@@ -506,13 +506,24 @@ TEST(Campaign, MaybeWriteReportCreatesMissingDir)
     std::string dir = freshDir("report") + "/nested/deeper";
     ::setenv("LUMI_REPORT_DIR", dir.c_str(), 1);
 
-    RunOptions options = quickOptions();
-    WorkloadResult result =
-        runWorkload({SceneId::REF, ShaderKind::Shadow}, options);
-    bench::maybeWriteReport(result, options);
+    // One workload under two configs keeps one report per config.
+    RunOptions desktop = quickOptions();
+    desktop.config = GpuConfig::desktop();
+    std::vector<Job> jobs = {
+        Job::rayTracing({SceneId::REF, ShaderKind::Shadow},
+                        quickOptions()),
+        Job::rayTracing({SceneId::REF, ShaderKind::Shadow}, desktop),
+    };
+    for (const Job &job : jobs)
+        bench::maybeWriteReport(runWorkload(job.workload, job.options),
+                                job);
     ::unsetenv("LUMI_REPORT_DIR");
 
-    std::string path = dir + "/" + result.id + ".report.json";
-    EXPECT_TRUE(std::filesystem::exists(path));
+    for (const Job &job : jobs)
+        EXPECT_TRUE(std::filesystem::exists(dir + "/" + cacheKey(job)));
+    size_t files = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files += entry.is_regular_file();
+    EXPECT_EQ(files, 2u);
     std::filesystem::remove_all(dir);
 }

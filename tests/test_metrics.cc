@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bvh/accel.hh"
 #include "compute/rodinia.hh"
 #include "metrics/metrics.hh"
 #include "rt/pipeline.hh"
@@ -27,12 +28,21 @@ TEST(MetricSchema, PaperGroupSizes)
 {
     const auto &schema = metricSchema();
     EXPECT_EQ(schema.size(), 87u); // 35 + 29 + 23
-    int rt_specific = 0;
+    int gpu = 0, rt = 0, scene = 0, rt_specific = 0;
     for (const MetricDef &def : schema) {
-        if (def.rtSpecific)
-            rt_specific++;
+        gpu += def.group == MetricGroup::Gpu;
+        rt += def.group == MetricGroup::Rt;
+        scene += def.group == MetricGroup::Scene;
+        rt_specific += def.rtSpecific();
     }
+    EXPECT_EQ(gpu, 35);
+    EXPECT_EQ(rt, 29);
+    EXPECT_EQ(scene, 23);
     EXPECT_EQ(rt_specific, 29 + 23);
+    // Each group is one contiguous block, in the paper's order.
+    for (size_t i = 1; i < schema.size(); i++)
+        EXPECT_LE(schema[i - 1].group, schema[i].group)
+            << schema[i].name;
     // Both arch-dependent and arch-independent metrics exist, the
     // deliberate deviation from pure MICA the paper defends.
     int independent = 0;
@@ -114,7 +124,7 @@ TEST(MetricCollect, ComputeWorkloadHasNanRtGroups)
     ASSERT_EQ(row.values.size(), metricSchema().size());
     const auto &schema = metricSchema();
     for (size_t i = 0; i < schema.size(); i++) {
-        if (schema[i].rtSpecific) {
+        if (schema[i].rtSpecific()) {
             EXPECT_TRUE(std::isnan(row.values[i]))
                 << schema[i].name;
         } else {
@@ -122,6 +132,36 @@ TEST(MetricCollect, ComputeWorkloadHasNanRtGroups)
                 << schema[i].name;
         }
     }
+}
+
+TEST(MetricCollect, GroupDecidesWhichMetricsAreNan)
+{
+    // A scene and its accel stats, but a GPU that traced no ray: the
+    // RT group is NaN while the scene group is still defined.
+    Scene scene = buildScene(SceneId::REF, 0.25f);
+    AccelStructure accel;
+    accel.build(scene);
+    AccelStats accel_stats = accel.computeStats();
+    WorkloadContext context;
+    context.scene = &scene;
+    context.accelStats = &accel_stats;
+
+    Gpu gpu(GpuConfig::mobile());
+    runComputeKernel(gpu, ComputeKernel::Nn);
+    MetricVector row = collectMetrics(gpu, &context);
+    ASSERT_EQ(row.values.size(), metricSchema().size());
+    int rt_nan = 0, scene_finite = 0;
+    const auto &schema = metricSchema();
+    for (size_t i = 0; i < schema.size(); i++) {
+        if (schema[i].group == MetricGroup::Rt)
+            rt_nan += std::isnan(row.values[i]);
+        else if (schema[i].group == MetricGroup::Scene)
+            scene_finite += std::isfinite(row.values[i]);
+    }
+    EXPECT_EQ(rt_nan, 29);
+    EXPECT_EQ(scene_finite, 23);
+    EXPECT_EQ(row.values[metricIndex("bvh_total_depth")],
+              accel_stats.totalDepth);
 }
 
 TEST(MetricCollect, RayFractionsMatchShader)

@@ -756,23 +756,27 @@ cmdServe(const std::vector<std::string> &args)
     return 0;
 }
 
+/** The --csv operand of results and dendrogram (results.csv). */
 std::string
-csvArg(const std::vector<std::string> &args)
+csvPath(const std::vector<std::string> &args)
 {
-    for (size_t i = 0; i + 1 < args.size(); i++) {
-        if (args[i] == "--csv")
-            return args[i + 1];
+    std::string path = "results.csv";
+    for (ArgCursor arg{args}; arg.next();) {
+        if (arg.flag == "--csv")
+            path = arg.value();
+        else
+            arg.unknown();
     }
-    return "results.csv";
+    return path;
 }
 
 int
 cmdResults(const std::vector<std::string> &args)
 {
-    std::vector<MetricVector> rows = readCsv(csvArg(args));
+    std::string path = csvPath(args);
+    std::vector<MetricVector> rows = readCsv(path);
     if (rows.empty()) {
-        std::fprintf(stderr, "no rows in %s\n",
-                     csvArg(args).c_str());
+        std::fprintf(stderr, "no rows in %s\n", path.c_str());
         return 1;
     }
     int ipc = metricIndex("ipc_thread");
@@ -794,7 +798,7 @@ cmdResults(const std::vector<std::string> &args)
 int
 cmdDendrogram(const std::vector<std::string> &args)
 {
-    std::vector<MetricVector> rows = readCsv(csvArg(args));
+    std::vector<MetricVector> rows = readCsv(csvPath(args));
     if (rows.size() < 2) {
         std::fprintf(stderr, "need at least 2 rows\n");
         return 1;

@@ -60,6 +60,8 @@ REJECTED = [
     ("NOPE", "run --workload NOPE"),
     ("bogus", "run --config bogus"),
     ("--where", "query --cache-dir . --where bogus=1"),
+    ("--bogus", "results --bogus 1"),
+    ("--csv", "dendrogram --csv"),
 ]
 
 failures = []
