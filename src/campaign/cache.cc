@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "lumibench/run_report.hh"
-#include "trace/json_read.hh"
 
 namespace lumi
 {
@@ -52,20 +51,21 @@ readCachedResult(const std::string &path, const Job &job,
                  WorkloadResult &out)
 {
     std::string text;
-    JsonValue doc;
-    if (!readWholeFile(path, text) || !parseRunReport(text, doc))
+    JsonTape tape;
+    if (!readWholeFile(path, text) || !parseRunReport(text, tape))
         return false;
 
     // Validate the simulation point against the job, not the
     // filename: collisions and hand-edited files read as misses.
+    JsonRef doc = tape.root();
     RunReportHeader header = decodeRunReportHeader(doc);
     if (header.config.fingerprint !=
             configFingerprint(job.options.config) ||
         header.options != ReportOptions::of(job.options))
         return false;
-    const std::vector<JsonValue> &entries = runReportEntries(doc);
-    return !entries.empty() && entryId(entries[0]) == job.id() &&
-           decodeRunReportEntry(text, entries[0], header, out);
+    JsonItems entries = runReportEntries(doc);
+    return !entries.empty() && entryId(*entries.begin()) == job.id() &&
+           decodeRunReportEntry(*entries.begin(), header, out);
 }
 
 bool

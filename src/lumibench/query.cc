@@ -6,7 +6,6 @@
 #include "lumibench/run_report.hh"
 #include "trace/interval.hh"
 #include "trace/json.hh"
-#include "trace/json_read.hh"
 
 namespace lumi
 {
@@ -107,28 +106,29 @@ class ReportStore::Entry
     {
     }
 
-    /** The parsed member, or null when the entry has none. */
-    const JsonValue *
+    /**
+     * The member, parsed in place from its span of the text; absent
+     * when the entry has none or it does not parse.
+     */
+    JsonRef
     member(EntryMember m)
     {
         const Span &span = spans_[m];
-        if (span.end <= span.begin)
-            return nullptr;
+        if (span.end <= span.begin || span.end > text_.size())
+            return {};
         if (!tried_[m]) {
             tried_[m] = true;
-            parsed_[m] = parseJson(
-                text_.substr(span.begin, span.end - span.begin),
-                values_[m]);
+            tapes_[m].parse(std::string_view(text_).substr(
+                span.begin, span.end - span.begin));
         }
-        return parsed_[m] ? &values_[m] : nullptr;
+        return tapes_[m].root();
     }
 
   private:
     const std::string &text_;
     const Spans &spans_;
-    JsonValue values_[NumEntryMembers];
+    JsonTape tapes_[NumEntryMembers];
     bool tried_[NumEntryMembers] = {};
-    bool parsed_[NumEntryMembers] = {};
 };
 
 void
@@ -137,20 +137,20 @@ ReportStore::indexText(Indexed &file, const std::string &name,
 {
     file = Indexed{};
     file.stamp = stamp;
-    JsonValue doc;
-    if (!parseRunReport(text, doc))
+    JsonTape tape;
+    if (!parseRunReport(text, tape))
         return;
     file.report = true;
     ReportRef &ref = file.ref;
     ref.file = name;
-    ref.header = decodeRunReportHeader(doc);
-    for (const JsonValue &entry : runReportEntries(doc)) {
+    ref.header = decodeRunReportHeader(tape.root());
+    for (JsonRef entry : runReportEntries(tape.root())) {
         ref.workloads.push_back(entryId(entry));
         Spans &spans = file.entries.emplace_back();
         for (int m = 0; m < NumEntryMembers; m++) {
-            if (const JsonValue *member =
+            if (JsonRef member =
                     entryMember(entry, static_cast<EntryMember>(m)))
-                spans[m] = {member->begin, member->end};
+                spans[m] = {member.begin(), member.end()};
         }
     }
 }
@@ -337,30 +337,26 @@ ReportStore::breakdown(const QueryFilter &filter)
     std::vector<BreakdownRow> rows;
     walk(filter, [&](const ReportRef &ref, const std::string &id,
                      Entry &entry) {
-        const JsonValue *stats = entry.member(EntryStats);
+        JsonRef stats = entry.member(EntryStats);
         // Pre-profiler reports carry no profile.* keys; skip them
         // rather than emit an all-zero row.
-        if (!stats || !stats->isObject() ||
-            !stats->find("profile.sm.issued"))
+        if (!stats.find("profile.sm.issued"))
             return true;
         BreakdownRow row;
         row.file = ref.file;
         row.workload = id;
-        if (const JsonValue *cycles = stats->find("gpu.cycles"))
-            row.cycles = cycles->counter();
+        row.cycles = stats.find("gpu.cycles").counter();
         for (int b = 0; b < numSmCycleBuckets; b++) {
             std::string name =
                 std::string("profile.sm.") +
                 smCycleBucketName(static_cast<SmCycleBucket>(b));
-            if (const JsonValue *v = stats->find(name))
-                row.sm.cycles[b] = v->counter();
+            row.sm.cycles[b] = stats.find(name).counter();
         }
         for (int b = 0; b < numRtCycleBuckets; b++) {
             std::string name =
                 std::string("profile.rt.") +
                 rtCycleBucketName(static_cast<RtCycleBucket>(b));
-            if (const JsonValue *v = stats->find(name))
-                row.rt.cycles[b] = v->counter();
+            row.rt.cycles[b] = stats.find(name).counter();
         }
         // Self-normalizing: conservation pins each sum to
         // cycles x units, so the shares need no config lookup.
@@ -390,16 +386,12 @@ ReportStore::stat(const std::string &name, const QueryFilter &filter)
     std::vector<StatRow> rows;
     walk(filter, [&](const ReportRef &ref, const std::string &id,
                      Entry &entry) {
-        const JsonValue *value = nullptr;
-        if (const JsonValue *stats = entry.member(EntryStats))
-            value = stats->find(name);
-        if (!value) {
-            if (const JsonValue *metrics = entry.member(EntryMetrics))
-                value = metrics->find(name);
-        }
-        if (value && value->isNumber())
-            rows.push_back(
-                {ref.file, id, value->number(), value->token});
+        JsonRef value = entry.member(EntryStats).find(name);
+        if (!value)
+            value = entry.member(EntryMetrics).find(name);
+        if (value.isNumber())
+            rows.push_back({ref.file, id, value.number(),
+                            std::string(value.raw())});
         return true;
     });
     return rows;
@@ -411,10 +403,9 @@ ReportStore::series(const std::string &name, const QueryFilter &filter)
     std::vector<SeriesResult> results;
     walk(filter, [&](const ReportRef &ref, const std::string &id,
                      Entry &entry) {
-        const JsonValue *interval = entry.member(EntryIntervalStats);
         IntervalSeries series;
-        if (!interval || !interval->isObject() ||
-            !IntervalSeries::fromJson(*interval, series))
+        if (!IntervalSeries::fromJson(entry.member(EntryIntervalStats),
+                                      series))
             return true;
         int s = series.seriesIndex(name);
         if (s < 0)
@@ -445,10 +436,8 @@ ReportStore::statNames(const QueryFilter &filter)
     walk(filter, [&](const ReportRef &, const std::string &,
                      Entry &entry) {
         for (EntryMember group : {EntryStats, EntryMetrics}) {
-            if (const JsonValue *members = entry.member(group)) {
-                for (const auto &[name, value] : members->members)
-                    names.push_back(name);
-            }
+            for (JsonMember member : entry.member(group).members())
+                names.push_back(member.key.string());
         }
         return false; // first matching entry only
     });

@@ -10,7 +10,6 @@
 #include "gpu/stat_bindings.hh"
 #include "trace/interval.hh"
 #include "trace/json.hh"
-#include "trace/json_read.hh"
 #include "trace/stat_registry.hh"
 
 namespace lumi
@@ -24,20 +23,19 @@ const char *const kEntryMemberKeys[NumEntryMembers] = {
     "stats", "metrics", "interval_stats"};
 
 /**
- * Decode @p value (null when absent) into @p out, a record field by
+ * Decode @p value (absent or not) into @p out, a record field by
  * field; absent, mistyped or out-of-range reads as zero or empty.
  */
 template <typename T>
 void
-readJson(const JsonValue *value, T &out)
+readJson(JsonRef value, T &out)
 {
     if constexpr (std::is_same_v<T, std::string>) {
-        out = value && value->isString() ? value->text : T();
+        out = value.string();
     } else if constexpr (std::is_same_v<T, bool>) {
-        out = value && value->kind == JsonValue::Kind::Bool &&
-              value->boolean;
+        out = value.boolean();
     } else if constexpr (std::is_arithmetic_v<T>) {
-        double number = value ? value->number() : 0.0;
+        double number = value.number();
         using Limits = std::numeric_limits<T>;
         out = std::is_floating_point_v<T> ||
                       (number >= static_cast<double>(Limits::lowest()) &&
@@ -46,19 +44,19 @@ readJson(const JsonValue *value, T &out)
                   : T();
     } else {
         T::fields(out, [&](const char *key, auto &field) {
-            readJson(value ? value->find(key) : nullptr, field);
+            readJson(value.find(key), field);
         });
     }
 }
 
 template <typename T>
 void
-readJson(const JsonValue *value, std::vector<T> &records)
+readJson(JsonRef value, std::vector<T> &records)
 {
-    records.assign(value && value->isArray() ? value->items.size() : 0,
-                   T());
-    for (size_t i = 0; i < records.size(); i++)
-        readJson(&value->items[i], records[i]);
+    records.assign(value.isArray() ? value.size() : 0, T());
+    size_t i = 0;
+    for (JsonRef item : value.items())
+        readJson(item, records[i++]);
 }
 
 /**
@@ -68,7 +66,7 @@ readJson(const JsonValue *value, std::vector<T> &records)
  * in the verbatim statsJson.
  */
 void
-restoreCounters(WorkloadResult &result, const JsonValue &stats)
+restoreCounters(WorkloadResult &result, JsonRef stats)
 {
     StatRegistry registry;
     registerGpuStats(registry, result.stats);
@@ -81,9 +79,11 @@ restoreCounters(WorkloadResult &result, const JsonValue &stats)
     registerRequesterStats(registry, result.l2Shader, "l2.shader");
     registerDramStats(registry, result.dram);
     registerKindStats(registry, result.kindReads, result.kindMisses);
-    for (const auto &[name, value] : stats.members) {
-        if (value.isNumber())
-            registry.setCounter(name, value.counter());
+    std::string scratch;
+    for (JsonMember member : stats.members()) {
+        if (member.value.isNumber())
+            registry.setCounter(member.key.string(scratch),
+                                member.value.counter());
     }
     // AccelStats is exposed as formulas; restore its fields by name.
     auto accel = [&](const char *name, auto &field) {
@@ -325,14 +325,14 @@ readWholeFile(const std::string &path, std::string &text,
 }
 
 bool
-parseRunReport(const std::string &text, JsonValue &doc)
+parseRunReport(std::string_view text, JsonTape &tape)
 {
-    return parseJson(text, doc) && doc.isObject() &&
-           doc.str("schema") == kRunReportSchema;
+    return tape.parse(text) && tape.root().isObject() &&
+           tape.root().find("schema").equals(kRunReportSchema);
 }
 
 RunReportHeader
-decodeRunReportHeader(const JsonValue &doc)
+decodeRunReportHeader(JsonRef doc)
 {
     RunReportHeader header;
     readJson(doc.find("config"), header.config);
@@ -340,44 +340,41 @@ decodeRunReportHeader(const JsonValue &doc)
     return header;
 }
 
-const std::vector<JsonValue> &
-runReportEntries(const JsonValue &doc)
+JsonItems
+runReportEntries(JsonRef doc)
 {
-    static const std::vector<JsonValue> none;
-    const JsonValue *workloads = doc.find("workloads");
-    return workloads && workloads->isArray() ? workloads->items : none;
+    return doc.find("workloads").items();
 }
 
 std::string
-entryId(const JsonValue &entry)
+entryId(JsonRef entry)
 {
-    return entry.str("id");
+    return entry.find("id").string();
 }
 
-const JsonValue *
-entryMember(const JsonValue &entry, EntryMember member)
+JsonRef
+entryMember(JsonRef entry, EntryMember member)
 {
     return entry.find(kEntryMemberKeys[member]);
 }
 
 bool
-decodeRunReportEntry(const std::string &text, const JsonValue &entry,
-                     const RunReportHeader &header, WorkloadResult &out)
+decodeRunReportEntry(JsonRef entry, const RunReportHeader &header,
+                     WorkloadResult &out)
 {
     WorkloadResult result;
     result.id = entryId(entry);
-    result.rtUnits = static_cast<int>(
-        entry.num("rt_units", result.rtUnits));
+    if (JsonRef units = entry.find("rt_units"))
+        readJson(units, result.rtUnits);
 
     // The stats dump was spliced in verbatim at write time; slice it
     // back out of the source text so warm statsJson is byte-
     // identical to the cold dump.
-    const JsonValue *stats = entryMember(entry, EntryStats);
-    if (!stats || !stats->isObject())
+    JsonRef stats = entryMember(entry, EntryStats);
+    if (!stats.isObject())
         return false;
-    result.statsJson = text.substr(stats->begin,
-                                   stats->end - stats->begin);
-    restoreCounters(result, *stats);
+    result.statsJson = stats.raw();
+    restoreCounters(result, stats);
     // DramStats.channels feeds the dram.efficiency formula and is
     // config-derived, not a counter.
     result.dram.channels = header.config.dramChannels;
@@ -386,29 +383,36 @@ decodeRunReportEntry(const std::string &text, const JsonValue &entry,
 
     // Every metricSchema() key must be present: a missing object or
     // key fails, never a short or NaN-padded vector. A null value is
-    // a real NaN (compute kernels have no RT or scene metrics).
-    const JsonValue *metrics = entryMember(entry, EntryMetrics);
-    if (!metrics || !metrics->isObject())
+    // a real NaN (compute kernels have no RT or scene metrics). The
+    // writer emits the keys in schema order, so the walk takes the
+    // next member and searches only when the order differs.
+    JsonRef metrics = entryMember(entry, EntryMetrics);
+    if (!metrics.isObject())
         return false;
     const std::vector<MetricDef> &schema = metricSchema();
     result.metrics.workload = result.id;
     result.metrics.values.reserve(schema.size());
+    JsonMembers members = metrics.members();
+    auto next = members.begin();
     for (const MetricDef &def : schema) {
-        const JsonValue *value = metrics->find(def.name);
-        if (!value || (!value->isNumber() &&
-                       value->kind != JsonValue::Kind::Null))
+        JsonRef value;
+        if (next != members.end() && (*next).key.equals(def.name)) {
+            value = (*next).value;
+            ++next;
+        } else {
+            value = metrics.find(def.name);
+        }
+        if (!value.isNumber() && !value.isNull())
             return false;
-        result.metrics.values.push_back(value->number());
+        result.metrics.values.push_back(value.number());
     }
 
     // Interval time series: the typed form is exact (counters are
     // JSON integers and toJson() is canonical), so a warm report
     // re-serializes byte-identically to the cold one.
-    if (const JsonValue *interval =
-            entryMember(entry, EntryIntervalStats);
-        interval && interval->isObject()) {
-        if (!IntervalSeries::fromJson(*interval,
-                                      result.intervalSeries))
+    if (JsonRef interval = entryMember(entry, EntryIntervalStats);
+        interval.isObject()) {
+        if (!IntervalSeries::fromJson(interval, result.intervalSeries))
             return false;
     }
 

@@ -28,12 +28,12 @@
 #include <vector>
 
 #include "lumibench/runner.hh"
+#include "trace/json_read.hh"
 
 namespace lumi
 {
 
 class JsonWriter;
-struct JsonValue;
 
 /** Schema tag written into (and required of) every report file. */
 inline constexpr const char *kRunReportSchema =
@@ -196,20 +196,20 @@ bool readWholeFile(const std::string &path, std::string &text,
 bool writeWholeFile(const std::string &path, const std::string &text);
 
 /**
- * Parse report @p text into @p doc (whose byte ranges index
- * @p text) and check its schema tag. False when @p text is not a
- * JSON object or not a kRunReportSchema report.
+ * Tokenize report @p text onto @p tape (whose nodes index @p text,
+ * which must outlive it) and check its schema tag. False when
+ * @p text is not a JSON object or not a kRunReportSchema report.
  */
-bool parseRunReport(const std::string &text, JsonValue &doc);
+bool parseRunReport(std::string_view text, JsonTape &tape);
 
 /** Decode @p doc's header; an absent field reads as zero or empty. */
-RunReportHeader decodeRunReportHeader(const JsonValue &doc);
+RunReportHeader decodeRunReportHeader(JsonRef doc);
 
 /** The workload entries of report @p doc, in file order. */
-const std::vector<JsonValue> &runReportEntries(const JsonValue &doc);
+JsonItems runReportEntries(JsonRef doc);
 
 /** Id of workload entry @p entry; empty when absent. */
-std::string entryId(const JsonValue &entry);
+std::string entryId(JsonRef entry);
 
 /** The members of a workload entry a reader can slice by range. */
 enum EntryMember
@@ -220,19 +220,16 @@ enum EntryMember
     NumEntryMembers,
 };
 
-/** Member @p member of workload entry @p entry; null when absent. */
-const JsonValue *entryMember(const JsonValue &entry, EntryMember member);
+/** Member @p member of workload entry @p entry; absent if none. */
+JsonRef entryMember(JsonRef entry, EntryMember member);
 
 /**
- * Decode workload entry @p entry of report @p text (whose byte
- * ranges @p entry indexes) into @p out: runReportJson() inverted,
- * trace and host profile aside; statsJson is sliced out verbatim.
- * False when the stats, a metricSchema() key or a well-formed
- * interval series is missing.
+ * Decode workload entry @p entry into @p out: runReportJson()
+ * inverted, trace and host profile aside; statsJson is sliced out
+ * of the parsed text verbatim. False when the stats, a
+ * metricSchema() key or a well-formed interval series is missing.
  */
-bool decodeRunReportEntry(const std::string &text,
-                          const JsonValue &entry,
-                          const RunReportHeader &header,
+bool decodeRunReportEntry(JsonRef entry, const RunReportHeader &header,
                           WorkloadResult &out);
 
 } // namespace lumi

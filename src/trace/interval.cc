@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "trace/json.hh"
-#include "trace/json_read.hh"
 
 namespace lumi
 {
@@ -65,52 +64,60 @@ IntervalSeries::toJson() const
 }
 
 bool
-IntervalSeries::fromJson(const JsonValue &doc, IntervalSeries &out)
+IntervalSeries::fromJson(JsonRef doc, IntervalSeries &out)
 {
     if (!doc.isObject())
         return false;
     IntervalSeries series;
-    series.interval = static_cast<uint64_t>(doc.num("interval"));
+    series.interval = doc.find("interval").counter();
 
-    const JsonValue *cycles = doc.find("cycles");
-    if (!cycles || !cycles->isArray())
+    JsonRef cycles = doc.find("cycles");
+    if (!cycles.isArray())
         return false;
-    for (const JsonValue &cycle : cycles->items)
+    for (JsonRef cycle : cycles.items())
         series.cycles.push_back(cycle.counter());
 
-    const JsonValue *varying = doc.find("series");
-    const JsonValue *constant = doc.find("constant");
-    if (!varying || !varying->isObject())
+    JsonRef varying = doc.find("series");
+    JsonRef constant = doc.find("constant");
+    if (!varying.isObject())
         return false;
 
     // Merge the varying matrix and the compacted constants back into
     // one sorted name list; both sections are written sorted, so a
     // two-way merge restores the canonical order.
-    size_t v = 0, c = 0;
-    size_t nv = varying->members.size();
-    size_t nc = constant && constant->isObject()
-                    ? constant->members.size()
-                    : 0;
-    while (v < nv || c < nc) {
+    JsonMembers vs = varying.members();
+    JsonMembers cs = constant.members();
+    auto v = vs.begin();
+    auto c = cs.begin();
+    std::string vname;
+    std::string cname;
+    std::string_view vkey;
+    std::string_view ckey;
+    if (v != vs.end())
+        vkey = (*v).key.string(vname);
+    if (c != cs.end())
+        ckey = (*c).key.string(cname);
+    while (v != vs.end() || c != cs.end()) {
         bool take_varying =
-            v < nv && (c >= nc || varying->members[v].first <
-                                      constant->members[c].first);
+            v != vs.end() && (c == cs.end() || vkey < ckey);
         if (take_varying) {
-            const auto &[name, value] = varying->members[v++];
-            if (!value.isArray() ||
-                value.items.size() != series.cycles.size())
-                return false;
-            series.names.push_back(name);
+            JsonRef value = (*v).value;
             std::vector<uint64_t> column;
-            column.reserve(value.items.size());
-            for (const JsonValue &item : value.items)
+            column.reserve(series.cycles.size());
+            for (JsonRef item : value.items())
                 column.push_back(item.counter());
+            if (!value.isArray() || column.size() != series.cycles.size())
+                return false;
+            series.names.emplace_back(vkey);
             series.values.push_back(std::move(column));
+            if (++v != vs.end())
+                vkey = (*v).key.string(vname);
         } else {
-            const auto &[name, value] = constant->members[c++];
-            series.names.push_back(name);
+            series.names.emplace_back(ckey);
             series.values.emplace_back(series.cycles.size(),
-                                       value.counter());
+                                       (*c).value.counter());
+            if (++c != cs.end())
+                ckey = (*c).key.string(cname);
         }
     }
     out = std::move(series);

@@ -32,12 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "trace/json_read.hh"
 #include "trace/stat_registry.hh"
 
 namespace lumi
 {
-
-struct JsonValue;
 
 /** A sampled counter time series (cumulative readings on a grid). */
 struct IntervalSeries
@@ -89,8 +88,11 @@ struct IntervalSeries
      */
     std::string toJson() const;
 
-    /** Parse a toJson() document; false on schema mismatch. */
-    static bool fromJson(const JsonValue &doc, IntervalSeries &out);
+    /**
+     * Parse a toJson() document from its tape node @p doc; false on
+     * schema mismatch.
+     */
+    static bool fromJson(JsonRef doc, IntervalSeries &out);
 };
 
 /**

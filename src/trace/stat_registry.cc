@@ -87,7 +87,7 @@ StatRegistry::value(const std::string &name) const
 }
 
 bool
-StatRegistry::setCounter(const std::string &name, uint64_t value)
+StatRegistry::setCounter(std::string_view name, uint64_t value)
 {
     auto it = index_.find(name);
     if (it == index_.end())

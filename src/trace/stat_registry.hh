@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -102,8 +103,9 @@ class StatRegistry
      * dump used, then restores saved values through those bindings,
      * so the name->field mapping can never drift from the forward
      * registration. False if @p name is not a registered counter.
+     * The lookup takes a view, so a restore allocates no string.
      */
-    bool setCounter(const std::string &name, uint64_t value);
+    bool setCounter(std::string_view name, uint64_t value);
 
     /** All registered names, lexicographically sorted. */
     std::vector<std::string> names() const;
@@ -145,7 +147,19 @@ class StatRegistry
     bool insert(Entry &&entry);
 
     std::vector<Entry> entries_;
-    std::unordered_map<std::string, size_t> index_;
+    /** Hashes any string-like key, for lookups by view. */
+    struct NameHash
+    {
+        using is_transparent = void;
+        size_t
+        operator()(std::string_view name) const
+        {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
+    std::unordered_map<std::string, size_t, NameHash, std::equal_to<>>
+        index_;
 };
 
 } // namespace lumi

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <ostream>
 #include <string>
@@ -126,10 +129,10 @@ TEST(IntervalSeries, JsonRoundTripIsByteIdentical)
     EXPECT_NE(cold.find("\"series\":{\"b.varying\":"),
               std::string::npos);
 
-    JsonValue doc;
-    ASSERT_TRUE(parseJson(cold, doc));
+    JsonTape tape;
+    ASSERT_TRUE(tape.parse(cold));
     IntervalSeries warm;
-    ASSERT_TRUE(IntervalSeries::fromJson(doc, warm));
+    ASSERT_TRUE(IntervalSeries::fromJson(tape.root(), warm));
     EXPECT_EQ(warm.toJson(), cold);
     // The expanded form matches the original matrix exactly.
     ASSERT_EQ(warm.names, sampler.series().names);
@@ -140,10 +143,10 @@ TEST(IntervalSeries, JsonRoundTripIsByteIdentical)
 TEST(IntervalSeries, FromJsonRejectsMalformedDocuments)
 {
     auto parseSeries = [](const std::string &text) {
-        JsonValue doc;
-        EXPECT_TRUE(parseJson(text, doc));
+        JsonTape tape;
+        EXPECT_TRUE(tape.parse(text));
         IntervalSeries out;
-        return IntervalSeries::fromJson(doc, out);
+        return IntervalSeries::fromJson(tape.root(), out);
     };
     // Series column shorter than the cycle grid.
     EXPECT_FALSE(parseSeries(
@@ -246,6 +249,38 @@ expectSameFields(const std::vector<double> &cold,
     }
 }
 
+uint64_t
+bitsOf(double value)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/** A number token as the strtod-based reader converted it. */
+double
+strtodNumber(const std::string &token)
+{
+    errno = 0;
+    char *end = nullptr;
+    double value = std::strtod(token.c_str(), &end);
+    return end == token.c_str() || errno == ERANGE ? 0.0 : value;
+}
+
+/** A number token as the strtoull-based reader converted it. */
+uint64_t
+strtoullCounter(const std::string &token)
+{
+    if (token.empty() || token[0] == '-')
+        return 0;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long value = std::strtoull(token.c_str(), &end, 10);
+    return end == token.c_str() || *end != '\0' || errno == ERANGE
+               ? 0
+               : value;
+}
+
 class CacheRoundTrip : public ::testing::TestWithParam<RoundTripPoint>
 {
 };
@@ -282,6 +317,34 @@ TEST_P(CacheRoundTrip, WarmReportMatchesCold)
     appendFields(cold.analytical, cold_fields);
     appendFields(warm.analytical, warm_fields);
     expectSameFields(cold_fields, warm_fields);
+
+    // Numeric parity: std::from_chars gives every metric value and
+    // counter of the report the bits strtod/strtoull gave.
+    JsonTape tape;
+    ASSERT_TRUE(parseRunReport(cold_report, tape));
+    JsonRef entry = *runReportEntries(tape.root()).begin();
+    size_t m = 0;
+    for (JsonMember metric : entryMember(entry, EntryMetrics).members()) {
+        std::string token(metric.value.raw());
+        double want = metric.value.isNull() ? std::nan("")
+                                            : strtodNumber(token);
+        ASSERT_LT(m, warm.metrics.values.size());
+        EXPECT_EQ(bitsOf(warm.metrics.values[m++]), bitsOf(want))
+            << metric.key.string() << " = " << token;
+    }
+    EXPECT_EQ(m, metricSchema().size());
+    size_t counters = 0;
+    for (JsonMember stat : entryMember(entry, EntryStats).members()) {
+        if (!stat.value.isNumber())
+            continue;
+        std::string token(stat.value.raw());
+        EXPECT_EQ(bitsOf(stat.value.number()), bitsOf(strtodNumber(token)))
+            << stat.key.string() << " = " << token;
+        EXPECT_EQ(stat.value.counter(), strtoullCounter(token))
+            << stat.key.string() << " = " << token;
+        counters++;
+    }
+    EXPECT_GT(counters, 0u);
 }
 
 std::vector<RoundTripPoint>
