@@ -39,23 +39,21 @@ AccelStructure::build(const Scene &scene, const BuilderConfig &config)
         blases_.push_back(std::move(blas));
     }
 
-    // TLAS: one leaf per instance so every leaf visit resolves to
-    // exactly one instance transform fetch.
-    std::vector<Aabb> instance_bounds;
-    instance_bounds.reserve(scene.instances.size());
-    for (const Instance &inst : scene.instances) {
-        Aabb local = blases_[inst.geometryId].bvh.bounds();
-        instance_bounds.push_back(local.transformed(inst.transform));
-    }
-    BuilderConfig tlas_config = config;
-    tlas_config.maxLeafPrims = 1;
-    BvhBuilder tlas_builder(tlas_config);
-    tlas_.bvh = tlas_builder.build(instance_bounds);
+    buildTlas(config);
 }
 
 void
 AccelStructure::refitTlas(const BuilderConfig &config)
 {
+    buildTlas(config);
+}
+
+void
+AccelStructure::buildTlas(const BuilderConfig &config)
+{
+    // One leaf per instance so every leaf visit resolves to exactly
+    // one instance transform fetch. Only the tree is replaced: the
+    // node and instance addresses stay where assignAddresses put them.
     std::vector<Aabb> instance_bounds;
     instance_bounds.reserve(scene_->instances.size());
     for (const Instance &inst : scene_->instances) {
@@ -64,12 +62,7 @@ AccelStructure::refitTlas(const BuilderConfig &config)
     }
     BuilderConfig tlas_config = config;
     tlas_config.maxLeafPrims = 1;
-    BvhBuilder builder(tlas_config);
-    uint64_t node_base = tlas_.nodeBase;
-    uint64_t instance_base = tlas_.instanceBase;
-    tlas_.bvh = builder.build(instance_bounds);
-    tlas_.nodeBase = node_base;
-    tlas_.instanceBase = instance_base;
+    tlas_.bvh = BvhBuilder(tlas_config).build(instance_bounds);
 }
 
 uint64_t

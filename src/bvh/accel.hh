@@ -116,6 +116,9 @@ class AccelStructure
     void refitTlas(const BuilderConfig &config = BuilderConfig{});
 
   private:
+    /** Build the TLAS over the current instance transforms. */
+    void buildTlas(const BuilderConfig &config);
+
     const Scene *scene_ = nullptr;
     std::vector<BlasAccel> blases_;
     TlasAccel tlas_;

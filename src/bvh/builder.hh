@@ -22,7 +22,7 @@ namespace lumi
 /** Tunables for BVH construction. */
 struct BuilderConfig
 {
-    /** SAH bin count along the split axis. */
+    /** SAH bin count along the split axis, in [1, BvhBuilder::maxBins]. */
     int binCount = 16;
     /** Stop splitting below this many primitives. */
     uint32_t maxLeafPrims = 4;
@@ -30,14 +30,20 @@ struct BuilderConfig
     float traversalCost = 1.2f;
 };
 
-/** Builds BVHs with binned SAH splits. */
+/**
+ * Builds BVHs with binned SAH splits. The tree is a pure function of
+ * the input boxes and the config: nodes are numbered in depth-first
+ * order (left subtree first), and each split reorders its range with
+ * an explicit swap order (DESIGN.md §4.2), never a library algorithm.
+ */
 class BvhBuilder
 {
   public:
-    explicit BvhBuilder(const BuilderConfig &config = BuilderConfig{})
-        : config_(config)
-    {
-    }
+    /** Largest supported BuilderConfig::binCount. */
+    static constexpr int maxBins = 32;
+
+    /** @throw std::invalid_argument if binCount is outside [1, 32] */
+    explicit BvhBuilder(const BuilderConfig &config = BuilderConfig{});
 
     /**
      * Build a tree over @p bounds (one AABB per primitive).
@@ -48,17 +54,6 @@ class BvhBuilder
     Bvh build(const std::vector<Aabb> &bounds) const;
 
   private:
-    struct BuildPrim
-    {
-        Aabb bounds;
-        Vec3 centroid;
-        uint32_t index;
-    };
-
-    /** Recursive split over prims[begin, end); returns node index. */
-    int32_t buildRange(Bvh &bvh, std::vector<BuildPrim> &prims,
-                       uint32_t begin, uint32_t end) const;
-
     BuilderConfig config_;
 };
 

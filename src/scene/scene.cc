@@ -116,11 +116,14 @@ Scene::usesAnyHit() const
 Aabb
 Scene::worldBounds() const
 {
+    // Each geometry's local box once, however many instances share it.
+    std::vector<Aabb> local;
+    local.reserve(geometries.size());
+    for (const Geometry &geom : geometries)
+        local.push_back(geom.bounds());
     Aabb box;
-    for (const Instance &inst : instances) {
-        Aabb local = geometries[inst.geometryId].bounds();
-        box.extend(local.transformed(inst.transform));
-    }
+    for (const Instance &inst : instances)
+        box.extend(local[inst.geometryId].transformed(inst.transform));
     return box;
 }
 

@@ -2,7 +2,8 @@
 
 Seven rules ported from the regex engine (same names, same
 semantics, now running over the tokenizer's literal-safe view), the
-hot-path-container rule guarding the event loop's data layout, plus
+hot-path-container rule guarding the event loop's data layout, the
+bvh-order rule keeping the BVH builder's permutation explicit, plus
 two whole-program rules:
 
   layering         enforce the #include dependency matrix between
@@ -300,6 +301,28 @@ def check_hot_path_container(ctx, report):
                        "with a head cursor, or an arena slot "
                        "(DESIGN.md \"Event scheduler\")" %
                        match.group(1))
+
+
+@rule("bvh-order",
+      "No library-defined order in src/bvh: std::partition, std::sort, "
+      "std::nth_element and std::priority_queue leave the order of "
+      "ties or of a partition to the standard library, and the BVH "
+      "builder's permutation fixes leaf order, node numbering and so "
+      "every simulated address. Spell the order out instead, as "
+      "TreeBuild::partition does (DESIGN.md \"BVH builder\").")
+def check_bvh_order(ctx, report):
+    pattern = re.compile(
+        r"\bstd::(partition|sort|nth_element|priority_queue)\b")
+    for path in ctx.source_files(("src/bvh",)):
+        src = ctx.file(path)
+        for lineno, line in enumerate(src.clean_lines, 1):
+            match = pattern.search(line)
+            if match:
+                report(path, lineno,
+                       "std::%s in src/bvh: its order is whatever the "
+                       "standard library produces, and the tree must "
+                       "not depend on it; write the permutation out "
+                       "explicitly" % match.group(1))
 
 
 # --------------------------------------------------------------- #
