@@ -18,11 +18,11 @@ Gpu::Gpu(const GpuConfig &config, uint64_t timeline_interval,
 {
     mem_ = std::make_unique<MemSystem>(config_, space_, tracer_);
     for (int sm = 0; sm < config_.numSms; sm++) {
-        rtUnits_.push_back(std::make_unique<RtUnit>(sm, config_, *mem_,
-                                                    stats_, tracer_));
-        cores_.push_back(std::make_unique<SimtCore>(sm, config_, *mem_,
-                                                    *rtUnits_[sm],
-                                                    stats_, tracer_));
+        rtUnits_.push_back(std::make_unique<RtUnit>(
+            sm, config_, *mem_, stats_, gauge_, profile_, tracer_));
+        cores_.push_back(std::make_unique<SimtCore>(
+            sm, config_, *mem_, *rtUnits_[sm], stats_, gauge_,
+            tracer_));
     }
     profile_.init(config_.numSms);
     smHadWork_.assign(static_cast<size_t>(config_.numSms), 0);
@@ -176,48 +176,40 @@ Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
                 break;
             }
         }
-        rtUnits_[i]->profileSpan(now_, next, profile_);
     }
 #else
     (void)core_cycled;
 #endif
 
-    int resident = 0;
-    for (auto &core : cores_)
-        resident += core->residentWarps();
-    int rt_warps = 0, rt_rays = 0, rt_active_units = 0;
-    for (auto &rt : rtUnits_) {
-        rt_warps += rt->activeWarps();
-        rt_rays += rt->activeRays();
-        if (rt->activeWarps() > 0)
-            rt_active_units++;
-    }
-    stats_.warpCyclesResident += static_cast<uint64_t>(resident) *
-                                 dt;
-    stats_.rtWarpCycles += static_cast<uint64_t>(rt_warps) * dt;
-    stats_.rtRayCycles += static_cast<uint64_t>(rt_rays) * dt;
+    stats_.warpCyclesResident +=
+        static_cast<uint64_t>(gauge_.residentWarps) * dt;
+    stats_.rtWarpCycles += static_cast<uint64_t>(gauge_.rtWarps) * dt;
+    stats_.rtRayCycles += static_cast<uint64_t>(gauge_.rtRays) * dt;
     for (int k = 0; k < numRayKinds; k++) {
-        int warps_k = 0, rays_k = 0;
-        for (auto &rt : rtUnits_) {
-            warps_k += rt->warpsOfKind(k);
-            rays_k += rt->raysOfKind(k);
-        }
         stats_.rtWarpCyclesByKind[k] +=
-            static_cast<uint64_t>(warps_k) * dt;
+            static_cast<uint64_t>(gauge_.rtWarpsByKind[k]) * dt;
         stats_.rtRayCyclesByKind[k] +=
-            static_cast<uint64_t>(rays_k) * dt;
+            static_cast<uint64_t>(gauge_.rtRaysByKind[k]) * dt;
     }
-    stats_.rtActiveCycles += static_cast<uint64_t>(
-                                 rt_active_units) *
-                             dt;
+    stats_.rtActiveCycles +=
+        static_cast<uint64_t>(gauge_.rtActiveUnits) * dt;
     now_ = next;
     // Keep the registered gpu.cycles counter current so interval
     // samples read the live clock. Unconditional: the write must
     // happen identically whether or not a sampler is attached.
     stats_.cycles = now_;
     timeline_.record(now_, snapshot());
-    if (sampler_)
+    if (sampler_ && sampler_->due(now_)) {
+        settleRtProfile();
         sampler_->maybeSample(now_);
+    }
+}
+
+void
+Gpu::settleRtProfile()
+{
+    for (auto &rt : rtUnits_)
+        rt->settleProfile(now_);
 }
 
 void
@@ -427,6 +419,24 @@ Gpu::run(const KernelLaunch &launch)
     // Retire every in-flight fill so the MSHR conservation checks
     // and occupancy histograms cover the whole run.
     mem_->drainAll();
+    settleRtProfile();
+
+#if LUMI_CHECKS_ENABLED
+    // The running occupancy totals must equal a recount from the
+    // components (once per launch, never per landing).
+    OccupancyGauge recount;
+    for (const auto &core : cores_)
+        recount.residentWarps += core->residentWarps();
+    for (const auto &rt : rtUnits_)
+        rt->countOccupancy(recount);
+    LUMI_CHECK(Rt, recount == gauge_,
+               "occupancy totals drifted: resident=%d/%d rtWarps=%d/%d "
+               "rtRays=%d/%d rtActiveUnits=%d/%d (running/recount)",
+               gauge_.residentWarps, recount.residentWarps,
+               gauge_.rtWarps, recount.rtWarps, gauge_.rtRays,
+               recount.rtRays, gauge_.rtActiveUnits,
+               recount.rtActiveUnits);
+#endif
 
 #if LUMI_PROFILE_ENABLED
     // Conservation: the bucket taxonomy must account for every cycle

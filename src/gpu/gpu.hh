@@ -170,14 +170,19 @@ class Gpu
     bool anyBusy(uint32_t next_warp,
                  const KernelLaunch &launch) const;
     /**
-     * Close the landing span [now_, next): top-down cycle accounting
-     * (cores not in @p core_cycled provably produced IssueOutcome::
-     * None, so their stale outcome is not read), state-weighted
-     * residency statistics, then the landing bookkeeping (clock,
-     * timeline, interval sampler). @p core_cycled null means every
-     * core was cycled (the legacy polling loop).
+     * Close the landing span [now_, next): top-down SM cycle
+     * accounting (cores not in @p core_cycled provably produced
+     * IssueOutcome::None, so their stale outcome is not read),
+     * residency statistics weighted from the running occupancy
+     * totals, then the landing bookkeeping (clock, timeline,
+     * interval sampler). @p core_cycled null means every core was
+     * cycled (the legacy polling loop). RT units charge their own
+     * profile lazily; this settles them only when a sample is due.
      */
     void accountSpan(uint64_t next, const uint8_t *core_cycled);
+    /** Charge every RT unit's profile up to now_ (RtUnit::
+     *  settleProfile), so profile.* reads complete. */
+    void settleRtProfile();
     /** Diagnose a busy-but-eventless state and mark the run
      *  deadlocked/aborted (reported as SimulationAborted upstream). */
     void reportDeadlock();
@@ -195,6 +200,8 @@ class Gpu
     Tracer *tracer_ = nullptr;
     std::unique_ptr<MemSystem> mem_;
     GpuStats stats_;
+    /** Running occupancy totals, kept by the cores and RT units. */
+    OccupancyGauge gauge_;
     Timeline timeline_;
     std::vector<std::unique_ptr<RtUnit>> rtUnits_;
     std::vector<std::unique_ptr<SimtCore>> cores_;

@@ -37,8 +37,13 @@ class Tracer;
 class RtUnit
 {
   public:
+    /**
+     * @param gauge receives this unit's residency changes.
+     * @param profile receives this unit's top-down cycle account.
+     */
     RtUnit(int sm_id, const GpuConfig &config, MemSystem &mem,
-           GpuStats &stats, Tracer *tracer = nullptr);
+           GpuStats &stats, OccupancyGauge &gauge,
+           CycleProfile &profile, Tracer *tracer = nullptr);
 
     /** Scene layout for the running kernel (null = compute only). */
     void setLayout(const SceneGpuLayout *layout);
@@ -62,11 +67,9 @@ class RtUnit
     /** In-flight (unfinished) rays across resident warps. */
     int activeRays() const { return activeRays_; }
 
-    /** Resident warps whose traceRay carries ray kind @p kind. */
-    int warpsOfKind(int kind) const { return warpsByKind_[kind]; }
-
-    /** In-flight rays of kind @p kind. */
-    int raysOfKind(int kind) const { return raysByKind_[kind]; }
+    /** Add this unit's occupancy, recounted from its warp arena,
+     *  into @p out (the launch-end check of the running totals). */
+    void countOccupancy(OccupancyGauge &out) const;
 
     bool
     idle() const
@@ -76,16 +79,39 @@ class RtUnit
     }
 
     /**
-     * Attribute cycles [begin, end) of this unit into @p profile
-     * (top-down cycle accounting). Called from the Gpu::run loop
-     * once unit state is stable for the span; the head event's
-     * fetch/box/primitive windows partition the span exactly, so
-     * the buckets conserve cycles by construction. Pure observer.
+     * Charge the cycles since the last charge, up to @p now, into
+     * the profile (top-down cycle accounting). The unit charges
+     * itself lazily: cycle() and enqueue() settle first, right
+     * before its state can change, so every charged span saw one
+     * constant state. Gpu settles every unit before an interval
+     * capture and at launch end; anyone else reading profile.*
+     * mid-run must settle first. Pure observer; compiled out with
+     * -DLUMI_PROFILE=OFF.
      */
-    void profileSpan(uint64_t begin, uint64_t end,
-                     CycleProfile &profile) const;
+    void
+    settleProfile(uint64_t now)
+    {
+#if LUMI_PROFILE_ENABLED
+        if (now > profiledTo_) {
+            profileSpan(profiledTo_, now);
+            profiledTo_ = now;
+        }
+#else
+        (void)now;
+#endif
+    }
 
   private:
+    /**
+     * Attribute cycles [begin, end) of this unit, with its current
+     * state, into profile_. The head event's fetch/box/primitive
+     * windows partition the span exactly, so the buckets conserve
+     * cycles by construction, and every term is additive over
+     * adjacent spans -- which is what lets settleProfile charge a
+     * run of landings in one call.
+     */
+    void profileSpan(uint64_t begin, uint64_t end) const;
+
     struct RayState
     {
         std::unique_ptr<TraversalStateMachine> machine;
@@ -186,6 +212,8 @@ class RtUnit
     const GpuConfig &config_;
     MemSystem &mem_;
     GpuStats &stats_;
+    OccupancyGauge &gauge_;
+    CycleProfile &profile_;
     Tracer *tracer_ = nullptr;
     const SceneGpuLayout *layout_ = nullptr;
 
@@ -208,8 +236,10 @@ class RtUnit
     size_t checkMaxBlasNodes_ = 0;
     int activeRays_ = 0;
     int residentWarps_ = 0;
-    int warpsByKind_[numRayKinds] = {};
-    int raysByKind_[numRayKinds] = {};
+#if LUMI_PROFILE_ENABLED
+    /** Cycle up to which profile_ holds this unit's account. */
+    uint64_t profiledTo_ = 0;
+#endif
 };
 
 } // namespace lumi

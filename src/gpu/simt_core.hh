@@ -49,8 +49,9 @@ enum class SmStall : uint8_t
 class SimtCore
 {
   public:
+    /** @p gauge receives this core's resident-warp changes. */
     SimtCore(int sm_id, const GpuConfig &config, MemSystem &mem,
-             RtUnit &rt_unit, GpuStats &stats,
+             RtUnit &rt_unit, GpuStats &stats, OccupancyGauge &gauge,
              Tracer *tracer = nullptr);
 
     /** True while any warp slot is occupied. */
@@ -71,7 +72,8 @@ class SimtCore
     /** Issue phase for cycle @p now. */
     void cycle(uint64_t now);
 
-    /** Earliest future cycle at which this core can issue. */
+    /** Earliest future cycle at which this core can issue (never
+     *  before @p now + 1). */
     uint64_t nextEventCycle(uint64_t now) const;
 
     /** Called by the RT unit when a warp's traceRay completes. */
@@ -174,6 +176,7 @@ class SimtCore
     MemSystem &mem_;
     RtUnit &rtUnit_;
     GpuStats &stats_;
+    OccupancyGauge &gauge_;
     Tracer *tracer_ = nullptr;
 
     std::vector<WarpSlot> slots_;

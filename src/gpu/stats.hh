@@ -31,6 +31,30 @@ enum class RayKind : uint8_t
 constexpr int numRayKinds = static_cast<int>(RayKind::NumKinds);
 constexpr int numWarpOps = 5;
 
+/**
+ * Live occupancy of the whole GPU, kept as running totals: each
+ * SimtCore and RtUnit adjusts it at the state change itself (warp
+ * assign/retire, RT admit, ray done, RT warp release), so the cycle
+ * loop weights residency statistics by a span without visiting any
+ * component. Gpu owns it and recounts it from the components at
+ * every launch end.
+ */
+struct OccupancyGauge
+{
+    /** Warps resident in SIMT cores. */
+    int residentWarps = 0;
+    /** Warps resident in RT units, and their unfinished rays. */
+    int rtWarps = 0;
+    int rtRays = 0;
+    /** RT units holding at least one warp. */
+    int rtActiveUnits = 0;
+    /** rtWarps and rtRays split by the warp's ray kind. */
+    int rtWarpsByKind[numRayKinds] = {};
+    int rtRaysByKind[numRayKinds] = {};
+
+    bool operator==(const OccupancyGauge &) const = default;
+};
+
 /** Counters accumulated over one simulation. */
 struct GpuStats
 {

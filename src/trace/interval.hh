@@ -118,9 +118,13 @@ class IntervalSampler
     void
     maybeSample(uint64_t cycle)
     {
-        if (cycle >= next_)
+        if (due(cycle))
             capture(cycle);
     }
+
+    /** True when maybeSample(@p cycle) would capture: the caller
+     *  brings lazily charged counters up to date only then. */
+    bool due(uint64_t cycle) const { return cycle >= next_; }
 
     /** Force a closing sample at @p cycle (end of a launch). */
     void sampleFinal(uint64_t cycle);

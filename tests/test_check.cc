@@ -210,8 +210,11 @@ TEST(CheckCorruptionTest, BadWakeFiresSched)
     AddressSpace space;
     MemSystem mem(config, space);
     GpuStats stats;
-    RtUnit rt(0, config, mem, stats);
-    SimtCore core(0, config, mem, rt, stats);
+    OccupancyGauge gauge;
+    CycleProfile profile;
+    profile.init(config.numSms);
+    RtUnit rt(0, config, mem, stats, gauge, profile);
+    SimtCore core(0, config, mem, rt, stats, gauge);
 
     core.wakeWarp(999, 0); // out of range; count mode survives
     EXPECT_EQ(checks::violations(CheckSubsys::Sched), 1u);
