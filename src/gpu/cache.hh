@@ -114,6 +114,9 @@ class Cache
     };
 
     uint32_t setIndex(uint64_t line_addr) const;
+    /** Set line @p index's replacement key, keeping its block's
+     *  minimum current. All lruKey_ writes go through here. */
+    void setKey(uint32_t index, uint64_t key);
     Line *findLine(uint64_t line_addr);
     const Line *findLine(uint64_t line_addr) const;
 
@@ -134,14 +137,22 @@ class Cache
     FlatMap<uint32_t> lookup_;
     /**
      * Replacement keys, one per line: 0 for an invalid line, else
-     * lastUsed + 1. Kept apart from lines_ so victim selection is a
-     * tight argmin over a dense u64 array — the scan covers the
-     * whole cache when fully associative, and walking 40-byte Line
-     * structs for it dominated fill() cost. Lowest-index argmin
-     * reproduces the original policy exactly: a 0 key wins over any
-     * timestamp (first invalid way), ties fall to the lower way.
+     * lastUsed + 1. The victim is the lowest-index argmin of a set's
+     * keys, which reproduces the original policy exactly: a 0 key
+     * wins over any timestamp (first invalid way), ties fall to the
+     * lower way.
      */
     std::vector<uint64_t> lruKey_;
+    /**
+     * Minimum key per block of 1 << blockShift_ consecutive ways (16
+     * when the associativity allows; a block never straddles a set).
+     * A fully associative L1 has 512 ways, so the victim search
+     * reads 32 block minima and then one block instead of every
+     * key: the first block holding the set minimum, at its first
+     * way holding it, is the lowest-index argmin.
+     */
+    std::vector<uint64_t> blockMin_;
+    uint32_t blockShift_ = 0;
     /** Valid lines per set (tag-index/line-array lockstep check). */
     std::vector<uint32_t> setFill_;
 };
