@@ -82,7 +82,12 @@ MemSystem::allocMshr(int level, int sm, uint64_t line_addr,
     } else {
         l2Mshrs_[line_addr]++;
         l2Live_++;
-        l2FillTimes_.insert(ready);
+        if (config_.l2MshrEntries != 0) {
+            l2FillTimes_.insert(std::upper_bound(l2FillTimes_.begin(),
+                                                 l2FillTimes_.end(),
+                                                 ready),
+                                ready);
+        }
     }
     Completion completion;
     completion.ready = ready;
@@ -129,12 +134,19 @@ MemSystem::processCompletion(const Completion &completion)
                 l2Mshrs_.erase(completion.lineAddr);
             l2Live_--;
         }
-        auto fill_it = l2FillTimes_.find(completion.ready);
-        LUMI_CHECK(Mem, fill_it != l2FillTimes_.end(),
-                   "L2 fill-time bookkeeping drift at cycle %llu",
-                   static_cast<unsigned long long>(completion.ready));
-        if (fill_it != l2FillTimes_.end())
-            l2FillTimes_.erase(fill_it);
+        if (config_.l2MshrEntries != 0) {
+            auto fill_it = std::lower_bound(l2FillTimes_.begin(),
+                                            l2FillTimes_.end(),
+                                            completion.ready);
+            bool found = fill_it != l2FillTimes_.end() &&
+                         *fill_it == completion.ready;
+            LUMI_CHECK(Mem, found,
+                       "L2 fill-time bookkeeping drift at cycle %llu",
+                       static_cast<unsigned long long>(
+                           completion.ready));
+            if (found)
+                l2FillTimes_.erase(fill_it);
+        }
     }
     if (tracer_ && tracer_->wants(TraceCategory::Mem)) {
         // One span per in-flight fill: its whole lifetime from the
@@ -261,16 +273,15 @@ MemSystem::l2AllocAt(uint64_t at)
     uint64_t t = at;
     for (;;) {
         // Entries whose fill lands at or before t are free at t.
-        size_t live = 0;
-        for (auto it = l2FillTimes_.upper_bound(t);
-             it != l2FillTimes_.end(); ++it) {
-            live++;
-        }
+        auto first_live = std::upper_bound(l2FillTimes_.begin(),
+                                           l2FillTimes_.end(), t);
+        size_t live = static_cast<size_t>(l2FillTimes_.end() -
+                                          first_live);
         if (live < config_.l2MshrEntries)
             break;
         // Queue in the miss queue until the earliest outstanding
         // fill returns and releases its entry.
-        t = *l2FillTimes_.upper_bound(t);
+        t = *first_live;
     }
     if (t > at) {
         memStats_.l2MshrFullStalls++;

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "gpu/address_space.hh"
@@ -226,8 +225,10 @@ class MemSystem
     bool oversizedAdmit_ = false;
     /** Live L2 MSHR entries: line -> outstanding fills. */
     FlatMap<uint32_t> l2Mshrs_;
-    /** fillReady of every live L2 entry (future-time occupancy). */
-    std::multiset<uint64_t> l2FillTimes_;
+    /** fillReady of every live L2 entry, sorted (future-time
+     *  occupancy). Kept only under a finite L2 MSHR file
+     *  (l2MshrEntries != 0); l2AllocAt reads it by binary search. */
+    std::vector<uint64_t> l2FillTimes_;
     int l2Live_ = 0;
     int liveTotal_ = 0;
 

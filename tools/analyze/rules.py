@@ -277,8 +277,9 @@ def check_gpu_chrono(ctx, report):
 
 
 @rule("hot-path-container",
-      "No node-based std containers (std::map, std::unordered_map, "
-      "std::list and friends) in src/gpu cycle-path code: "
+      "No node-based std containers (std::map, std::set, "
+      "std::unordered_map, std::list and friends) in src/gpu "
+      "cycle-path code: "
       "per-element heap churn and pointer chasing dominate the "
       "event loop. Use the open-addressed flat tables "
       "(gpu/flat_map.hh), a vector with a head cursor, or an arena "
@@ -287,6 +288,7 @@ def check_gpu_chrono(ctx, report):
 def check_hot_path_container(ctx, report):
     pattern = re.compile(
         r"\bstd::(map|multimap|unordered_map|unordered_multimap|"
+        r"set|multiset|unordered_set|unordered_multiset|"
         r"list|forward_list)\s*<")
     for path in ctx.source_files(("src/gpu",)):
         src = ctx.file(path)
@@ -297,8 +299,9 @@ def check_hot_path_container(ctx, report):
                        "std::%s on the src/gpu cycle path; "
                        "node-based containers churn the allocator "
                        "and chase pointers every cycle -- use "
-                       "FlatMap/FlatSet (gpu/flat_map.hh), a vector "
-                       "with a head cursor, or an arena slot "
+                       "FlatMap/FlatSet (gpu/flat_map.hh), a (sorted) "
+                       "vector, a vector with a head cursor, or an "
+                       "arena slot "
                        "(DESIGN.md \"Event scheduler\")" %
                        match.group(1))
 
