@@ -5,16 +5,6 @@
 namespace lumi
 {
 
-Aabb
-TriangleMesh::triangleBounds(size_t tri) const
-{
-    Aabb box;
-    box.extend(positions[indices[tri * 3 + 0]]);
-    box.extend(positions[indices[tri * 3 + 1]]);
-    box.extend(positions[indices[tri * 3 + 2]]);
-    return box;
-}
-
 Vec3
 TriangleMesh::triangleCentroid(size_t tri) const
 {

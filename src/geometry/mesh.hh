@@ -45,8 +45,17 @@ class TriangleMesh
     /** Number of triangles. */
     size_t triangleCount() const { return indices.size() / 3; }
 
-    /** Bounding box of triangle @p tri. */
-    Aabb triangleBounds(size_t tri) const;
+    /** Bounding box of triangle @p tri (inline: the BLAS build
+     *  gathers one per triangle). */
+    Aabb
+    triangleBounds(size_t tri) const
+    {
+        Aabb box;
+        box.extend(positions[indices[tri * 3 + 0]]);
+        box.extend(positions[indices[tri * 3 + 1]]);
+        box.extend(positions[indices[tri * 3 + 2]]);
+        return box;
+    }
 
     /** Centroid of triangle @p tri (used for BVH binning). */
     Vec3 triangleCentroid(size_t tri) const;
