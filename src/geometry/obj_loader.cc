@@ -1,9 +1,14 @@
 #include "geometry/obj_loader.hh"
 
+#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace lumi
@@ -20,29 +25,45 @@ struct Corner
     int vn = 0; ///< normal index or 0
 };
 
-/** Parse "v", "v/vt", "v//vn" or "v/vt/vn". */
+/** A whole-token, non-zero, in-range OBJ index ("12", "-3"). */
 bool
-parseCorner(const std::string &token, Corner &corner)
+parseIndex(std::string_view text, int &out)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end && out != 0;
+}
+
+/** Parse "v", "v/vt", "v//vn" or "v/vt/vn"; anything else fails. */
+bool
+parseCorner(std::string_view token, Corner &corner)
 {
     corner = Corner{};
     size_t first = token.find('/');
-    if (first == std::string::npos) {
-        corner.v = std::atoi(token.c_str());
-        return corner.v != 0;
-    }
-    corner.v = std::atoi(token.substr(0, first).c_str());
-    if (corner.v == 0)
+    if (!parseIndex(token.substr(0, first), corner.v))
         return false;
-    size_t second = token.find('/', first + 1);
-    if (second == std::string::npos) {
-        corner.vt = std::atoi(token.substr(first + 1).c_str());
+    if (first == std::string_view::npos)
         return true;
+    std::string_view rest = token.substr(first + 1);
+    size_t second = rest.find('/');
+    if (second == std::string_view::npos)
+        return parseIndex(rest, corner.vt);
+    if (second > 0 && !parseIndex(rest.substr(0, second), corner.vt))
+        return false;
+    return parseIndex(rest.substr(second + 1), corner.vn);
+}
+
+/** Read @p n floats, each a whole whitespace-separated token. */
+bool
+readFloats(std::istream &in, float *out, int n)
+{
+    for (int i = 0; i < n; i++) {
+        if (!(in >> out[i]))
+            return false;
+        int next = in.get();
+        if (next != std::istream::traits_type::eof() && !std::isspace(next))
+            return false;
     }
-    if (second > first + 1) {
-        corner.vt = std::atoi(
-            token.substr(first + 1, second - first - 1).c_str());
-    }
-    corner.vn = std::atoi(token.substr(second + 1).c_str());
     return true;
 }
 
@@ -59,6 +80,13 @@ resolveIndex(int raw, size_t count, uint32_t &out)
     return true;
 }
 
+/** A resolved corner: 0-based indices, UINT32_MAX for no vt/vn. */
+struct CornerKey
+{
+    uint32_t v = 0, vt = UINT32_MAX, vn = UINT32_MAX;
+    bool operator==(const CornerKey &) const = default;
+};
+
 } // namespace
 
 ObjLoadResult
@@ -71,51 +99,43 @@ parseObj(const std::string &text)
 
     // Emitted vertices: OBJ indexes positions/normals/uvs
     // independently, our mesh uses one index stream, so each unique
-    // (v, vt, vn) corner becomes one output vertex. A linear-probe
-    // map keeps it dependency-free.
-    struct EmittedCorner
-    {
-        Corner corner;
-        uint32_t index;
+    // resolved (v, vt, vn) corner becomes one output vertex, emitted
+    // at its first use.
+    auto hash = [](const CornerKey &k) {
+        uint64_t h = uint64_t{k.v} << 32 | k.vt;
+        return std::hash<uint64_t>()(h ^ k.vn * 0x9e3779b97f4a7c15ull);
     };
-    std::vector<EmittedCorner> emitted;
+    std::unordered_map<CornerKey, uint32_t, decltype(hash)> emitted;
     auto emit = [&](const Corner &corner,
                     uint32_t &out_index) -> bool {
-        for (const EmittedCorner &e : emitted) {
-            if (e.corner.v == corner.v && e.corner.vt == corner.vt &&
-                e.corner.vn == corner.vn) {
-                out_index = e.index;
-                return true;
-            }
-        }
-        uint32_t v_index, vt_index = 0, vn_index = 0;
-        if (!resolveIndex(corner.v, positions.size(), v_index))
-            return false;
-        if (corner.vt != 0 &&
-            !resolveIndex(corner.vt, texcoords.size(), vt_index)) {
+        CornerKey key;
+        if (!resolveIndex(corner.v, positions.size(), key.v) ||
+            (corner.vt != 0 &&
+             !resolveIndex(corner.vt, texcoords.size(), key.vt)) ||
+            (corner.vn != 0 &&
+             !resolveIndex(corner.vn, normals.size(), key.vn))) {
             return false;
         }
-        if (corner.vn != 0 &&
-            !resolveIndex(corner.vn, normals.size(), vn_index)) {
-            return false;
-        }
-        out_index = static_cast<uint32_t>(
-            result.mesh.positions.size());
-        result.mesh.positions.push_back(positions[v_index]);
+        auto [it, inserted] = emitted.try_emplace(
+            key, static_cast<uint32_t>(result.mesh.positions.size()));
+        out_index = it->second;
+        if (!inserted)
+            return true;
+        result.mesh.positions.push_back(positions[key.v]);
         result.mesh.uvs.push_back(
-            corner.vt != 0 ? texcoords[vt_index] : Vec2(0.0f, 0.0f));
+            corner.vt != 0 ? texcoords[key.vt] : Vec2(0.0f, 0.0f));
         result.mesh.normals.push_back(
-            corner.vn != 0 ? normals[vn_index]
-                           : Vec3(0.0f, 1.0f, 0.0f));
-        emitted.push_back({corner, out_index});
+            corner.vn != 0 ? normals[key.vn] : Vec3(0.0f, 1.0f, 0.0f));
         return true;
     };
 
-    bool any_normals = false;
-    bool any_uvs = false;
     std::istringstream stream(text);
     std::string line;
     int line_number = 0;
+    auto fail = [&](const std::string &what) {
+        result.error = what + " at line " + std::to_string(line_number);
+        return std::move(result);
+    };
     while (std::getline(stream, line)) {
         line_number++;
         // Strip comments and whitespace.
@@ -127,56 +147,30 @@ parseObj(const std::string &text)
         if (!(tokens >> keyword))
             continue;
 
-        if (keyword == "v") {
-            Vec3 p;
-            if (!(tokens >> p.x >> p.y >> p.z)) {
-                result.error = "bad v record at line " +
-                               std::to_string(line_number);
-                return result;
-            }
-            positions.push_back(p);
-        } else if (keyword == "vn") {
-            Vec3 n;
-            if (!(tokens >> n.x >> n.y >> n.z)) {
-                result.error = "bad vn record at line " +
-                               std::to_string(line_number);
-                return result;
-            }
-            normals.push_back(normalize(n));
-            any_normals = true;
-        } else if (keyword == "vt") {
-            Vec2 uv;
-            if (!(tokens >> uv.x >> uv.y)) {
-                result.error = "bad vt record at line " +
-                               std::to_string(line_number);
-                return result;
-            }
-            texcoords.push_back(uv);
-            any_uvs = true;
+        if (keyword == "v" || keyword == "vn" || keyword == "vt") {
+            float f[3];
+            if (!readFloats(tokens, f, keyword == "vt" ? 2 : 3))
+                return fail("bad " + keyword + " record");
+            if (keyword == "v")
+                positions.emplace_back(f[0], f[1], f[2]);
+            else if (keyword == "vn")
+                normals.push_back(normalize(Vec3(f[0], f[1], f[2])));
+            else
+                texcoords.emplace_back(f[0], f[1]);
         } else if (keyword == "f") {
             std::vector<uint32_t> face;
             std::string token;
             while (tokens >> token) {
                 Corner corner;
-                if (!parseCorner(token, corner)) {
-                    result.error = "bad face corner at line " +
-                                   std::to_string(line_number);
-                    return result;
-                }
+                if (!parseCorner(token, corner))
+                    return fail("bad face corner");
                 uint32_t index;
-                if (!emit(corner, index)) {
-                    result.error = "face index out of range at "
-                                   "line " +
-                                   std::to_string(line_number);
-                    return result;
-                }
+                if (!emit(corner, index))
+                    return fail("face index out of range");
                 face.push_back(index);
             }
-            if (face.size() < 3) {
-                result.error = "degenerate face at line " +
-                               std::to_string(line_number);
-                return result;
-            }
+            if (face.size() < 3)
+                return fail("degenerate face");
             // Fan triangulation for polygons.
             for (size_t k = 1; k + 1 < face.size(); k++) {
                 result.mesh.indices.push_back(face[0]);
@@ -193,9 +187,9 @@ parseObj(const std::string &text)
         result.error = "no faces";
         return result;
     }
-    if (!any_normals)
+    if (normals.empty())
         result.mesh.computeVertexNormals();
-    if (!any_uvs)
+    if (texcoords.empty())
         result.mesh.uvs.clear();
     result.ok = true;
     return result;
@@ -210,13 +204,18 @@ loadObjFile(const std::string &path)
         result.error = "cannot open " + path;
         return result;
     }
-    std::fseek(file, 0, SEEK_END);
-    long size = std::ftell(file);
-    std::fseek(file, 0, SEEK_SET);
-    std::string text(static_cast<size_t>(size), '\0');
-    size_t read = std::fread(text.data(), 1, text.size(), file);
+    // Read to EOF in chunks: a directory or a pipe has no size to
+    // seek to, and a read error must not pass for a short file.
+    std::string text;
+    char chunk[1 << 16];
+    while (size_t got = std::fread(chunk, 1, sizeof(chunk), file))
+        text.append(chunk, got);
+    bool failed = std::ferror(file) != 0;
     std::fclose(file);
-    text.resize(read);
+    if (failed) {
+        result.error = "cannot read " + path;
+        return result;
+    }
     return parseObj(text);
 }
 

@@ -7,8 +7,10 @@
  * on their own meshes instead of the procedural stand-ins. Supports
  * the common subset: v / vn / vt records, polygonal f records with
  * v, v/vt, v//vn and v/vt/vn forms (fans triangulated), negative
- * (relative) indices, comments and blank lines. Materials (mtllib)
- * are intentionally ignored; assign a Material on the returned mesh.
+ * (relative) indices, comments and blank lines. A malformed record
+ * (junk after a number, an index that does not fit) fails with its
+ * line number. Materials (mtllib) are intentionally ignored; assign
+ * a Material on the returned mesh.
  */
 
 #ifndef LUMI_GEOMETRY_OBJ_LOADER_HH

@@ -127,7 +127,6 @@ Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
     // component changes state in the skipped span.
     uint64_t dt = next - now_;
 
-#if LUMI_PROFILE_ENABLED
     // Top-down cycle accounting over [now, next): cycle now gets
     // the issue outcome; the remaining dt-1 cycles (in which, by
     // construction of next, no warp can issue) get the stall
@@ -177,9 +176,6 @@ Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
             }
         }
     }
-#else
-    (void)core_cycled;
-#endif
 
     stats_.warpCyclesResident +=
         static_cast<uint64_t>(gauge_.residentWarps) * dt;
@@ -374,7 +370,6 @@ Gpu::run(const KernelLaunch &launch)
     for (auto &rt : rtUnits_)
         rt->setLayout(launch.layout);
 
-#if LUMI_PROFILE_ENABLED
     // A new kernel behind the previous one turns that kernel's drain
     // tail into a sync wait: those SMs were done early and stalled at
     // the implicit end-of-grid barrier. The final kernel's tail stays
@@ -388,7 +383,6 @@ Gpu::run(const KernelLaunch &launch)
         }
         smHadWork_[sm] = 0;
     }
-#endif
 
     // Snapshot for the per-launch delta (analytical modeling).
     LaunchSample before;
@@ -438,7 +432,6 @@ Gpu::run(const KernelLaunch &launch)
                recount.rtActiveUnits);
 #endif
 
-#if LUMI_PROFILE_ENABLED
     // Conservation: the bucket taxonomy must account for every cycle
     // of every unit, per-SM and in aggregate. A leak here means a
     // state transition the classifier does not know about.
@@ -476,7 +469,6 @@ Gpu::run(const KernelLaunch &launch)
                    profile_.rtTotal().sum()),
                static_cast<unsigned long long>(
                    now_ * static_cast<uint64_t>(config_.numSms)));
-#endif
 
     stats_.cycles = now_;
     timeline_.record(now_, snapshot());

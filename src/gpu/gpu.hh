@@ -92,8 +92,7 @@ class Gpu
     Tracer *tracer() const { return tracer_; }
 
     /**
-     * The top-down cycle account (gpu/profile.hh). All-zero when the
-     * build compiled attribution out (-DLUMI_PROFILE=OFF); otherwise
+     * The top-down cycle account (gpu/profile.hh):
      * Sigma(sm buckets) == Sigma(rt buckets) == now() per unit, checked
      * at the end of every run().
      */

@@ -85,20 +85,15 @@ class RtUnit
      * before its state can change, so every charged span saw one
      * constant state. Gpu settles every unit before an interval
      * capture and at launch end; anyone else reading profile.*
-     * mid-run must settle first. Pure observer; compiled out with
-     * -DLUMI_PROFILE=OFF.
+     * mid-run must settle first. Pure observer.
      */
     void
     settleProfile(uint64_t now)
     {
-#if LUMI_PROFILE_ENABLED
         if (now > profiledTo_) {
             profileSpan(profiledTo_, now);
             profiledTo_ = now;
         }
-#else
-        (void)now;
-#endif
     }
 
   private:
@@ -236,10 +231,8 @@ class RtUnit
     size_t checkMaxBlasNodes_ = 0;
     int activeRays_ = 0;
     int residentWarps_ = 0;
-#if LUMI_PROFILE_ENABLED
     /** Cycle up to which profile_ holds this unit's account. */
     uint64_t profiledTo_ = 0;
-#endif
 };
 
 } // namespace lumi

@@ -249,9 +249,7 @@ registerGpu(StatRegistry &registry, const Gpu &gpu)
 {
     registerGpuStats(registry, gpu.stats());
     // The top-down cycle account: aggregates under profile.*, per-SM
-    // summands under sm<NN>.profile.*. Registered unconditionally so
-    // the stats schema is identical with -DLUMI_PROFILE=OFF (the
-    // buckets just stay zero there).
+    // summands under sm<NN>.profile.*.
     registerCycleBuckets(registry, gpu.profile().smTotal(),
                          gpu.profile().rtTotal(), "profile.sm",
                          "profile.rt");

@@ -172,7 +172,7 @@ struct BreakdownRow
     SmCycleBuckets sm;
     RtCycleBuckets rt;
     /** Normalized shares in [0,1]; all-zero when the bucket sum is
-     *  zero (profile compiled out). */
+     *  zero (a zero-cycle entry). */
     double smShare[numSmCycleBuckets] = {};
     double rtShare[numRtCycleBuckets] = {};
 };

@@ -153,8 +153,7 @@ struct WorkloadResult
     RequesterStats l2Shader;
     uint64_t kindReads[numDataKinds] = {};
     uint64_t kindMisses[numDataKinds] = {};
-    /** Aggregate top-down cycle account (gpu/profile.hh); all-zero
-     *  in -DLUMI_PROFILE=OFF builds. */
+    /** Aggregate top-down cycle account (gpu/profile.hh). */
     SmCycleBuckets profileSm;
     RtCycleBuckets profileRt;
     AccelStats accelStats;

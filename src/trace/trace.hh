@@ -10,11 +10,8 @@
  * serialize as Chrome trace-event JSON, loadable in Perfetto or
  * chrome://tracing.
  *
- * Overhead control is two-level:
- *  - at runtime, every emission is gated by a category bitmask; with
- *    the mask clear the hot path costs a single predictable branch;
- *  - at build time, configuring with -DLUMI_TRACE_ENABLED=OFF
- *    compiles every emission out entirely (wants() folds to false).
+ * Every emission is gated at runtime by a category bitmask; with the
+ * mask clear the hot path costs a single predictable branch.
  *
  * The tracer only observes: it never changes simulated timing, so
  * enabling it cannot perturb cycle counts.
@@ -26,10 +23,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef LUMI_TRACE_ENABLED
-#define LUMI_TRACE_ENABLED 1
-#endif
 
 namespace lumi
 {
@@ -73,7 +66,8 @@ uint32_t parseTraceCategories(const std::string &spec);
 /**
  * One recorded event. Names and argument names must be string
  * literals (or otherwise outlive the tracer): events store the
- * pointers, keeping emission allocation-free.
+ * pointers, keeping emission allocation-free. Tracer::instant and
+ * Tracer::span initialize every field in declaration order.
  */
 struct TraceEvent
 {
@@ -93,13 +87,6 @@ struct TraceEvent
 class Tracer
 {
   public:
-    /** True when tracing support was compiled in. */
-    static constexpr bool
-    compiledIn()
-    {
-        return LUMI_TRACE_ENABLED != 0;
-    }
-
     /** @param capacity events retained per category */
     explicit Tracer(size_t capacity = 1 << 14);
 
@@ -109,13 +96,12 @@ class Tracer
 
     /**
      * The hot-path gate: callers wrap emission in
-     * `if (tracer && tracer->wants(cat))`. Folds to a constant false
-     * when tracing is compiled out.
+     * `if (tracer && tracer->wants(cat))`.
      */
     bool
     wants(TraceCategory category) const
     {
-        return compiledIn() && (mask_ & traceBit(category)) != 0;
+        return (mask_ & traceBit(category)) != 0;
     }
 
     /** Record an instant event at @p cycle. */
@@ -125,23 +111,8 @@ class Tracer
             uint64_t arg0 = 0, const char *arg_name1 = nullptr,
             uint64_t arg1 = 0)
     {
-#if LUMI_TRACE_ENABLED
-        TraceEvent event;
-        event.name = name;
-        event.start = cycle;
-        event.duration = 0;
-        event.track = track;
-        event.category = category;
-        event.instant = true;
-        event.argName0 = arg_name0;
-        event.arg0 = arg0;
-        event.argName1 = arg_name1;
-        event.arg1 = arg1;
-        push(event);
-#else
-        (void)category; (void)name; (void)track; (void)cycle;
-        (void)arg_name0; (void)arg0; (void)arg_name1; (void)arg1;
-#endif
+        push({name, cycle, 0, track, category, true, arg_name0,
+              arg_name1, arg0, arg1});
     }
 
     /** Record a completed duration span [@p begin, @p end]. */
@@ -151,24 +122,8 @@ class Tracer
          const char *arg_name0 = nullptr, uint64_t arg0 = 0,
          const char *arg_name1 = nullptr, uint64_t arg1 = 0)
     {
-#if LUMI_TRACE_ENABLED
-        TraceEvent event;
-        event.name = name;
-        event.start = begin;
-        event.duration = end > begin ? end - begin : 0;
-        event.track = track;
-        event.category = category;
-        event.instant = false;
-        event.argName0 = arg_name0;
-        event.arg0 = arg0;
-        event.argName1 = arg_name1;
-        event.arg1 = arg1;
-        push(event);
-#else
-        (void)category; (void)name; (void)track; (void)begin;
-        (void)end; (void)arg_name0; (void)arg0; (void)arg_name1;
-        (void)arg1;
-#endif
+        push({name, begin, end > begin ? end - begin : 0, track,
+              category, false, arg_name0, arg_name1, arg0, arg1});
     }
 
     size_t capacity() const { return capacity_; }

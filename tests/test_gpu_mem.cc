@@ -840,9 +840,6 @@ TEST(GoldenParity, ObservedOutputsArePinned)
         {{SceneId::WKND, ShaderKind::PathTracing}, GpuConfig::mobile(),
          1000, 3811124429173825115ull},
     };
-#if !LUMI_PROFILE_ENABLED
-    GTEST_SKIP() << "cycle attribution compiled out";
-#endif
     for (const Pin &pin : pins) {
         RunOptions options;
         options.params.width = 16;

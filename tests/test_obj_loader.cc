@@ -118,12 +118,75 @@ TEST(ObjLoader, Errors)
     ObjLoadResult bad = parseObj("v 0 0 0\nf 1 2 3\n");
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.error.find("out of range"), std::string::npos);
-    // Malformed vertex.
+    // Malformed vertex, or a number with trailing junk.
     EXPECT_FALSE(parseObj("v 0 0\nf 1 1 1\n").ok);
+    EXPECT_FALSE(parseObj("v 0 0 0abc\nv 1 0 0\nv 0 1 0\n"
+                          "f 1 2 3\n")
+                     .ok);
     // Degenerate face.
     EXPECT_FALSE(parseObj("v 0 0 0\nv 1 0 0\nf 1 2\n").ok);
     // Missing file.
     EXPECT_FALSE(loadObjFile("/nonexistent/mesh.obj").ok);
+    // A directory opens but cannot be read.
+    ObjLoadResult dir = loadObjFile(::testing::TempDir());
+    EXPECT_FALSE(dir.ok);
+    EXPECT_NE(dir.error.find("cannot read"), std::string::npos);
+    // Corner indices are whole integers that fit in an int.
+    for (const char *face : {"f 1x 2 3\n", "f 1 2 3abc\n",
+                             "f 4294967297 2 3\n", "f 1/ 2 3\n",
+                             "f 1// 2 3\n", "f 1/1x 2 3\n"}) {
+        ObjLoadResult corner =
+            parseObj(std::string("v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+                                 "vt 0 0\nvn 0 0 1\n") +
+                     face);
+        EXPECT_FALSE(corner.ok) << face;
+        EXPECT_NE(corner.error.find("bad face corner"),
+                  std::string::npos)
+            << face;
+    }
+}
+
+TEST(ObjLoader, RelativeIndicesResolveAtTheirLine)
+{
+    // -1 names the latest position when the face is read, so the
+    // second face is (2, 3, 4) and reuses two emitted vertices.
+    ObjLoadResult result = parseObj("v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+                                    "f -3 -2 -1\n"
+                                    "v 1 1 0\n"
+                                    "f -3 -2 -1\n");
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_EQ(result.mesh.positions.size(), 4u);
+    EXPECT_FLOAT_EQ(result.mesh.positions[result.mesh.indices[5]].y,
+                    1.0f);
+    EXPECT_EQ(result.mesh.indices[3], result.mesh.indices[1]);
+}
+
+TEST(ObjLoader, SharedCornersOnLargeGrid)
+{
+    // An n x n quad grid: every interior corner is shared by four
+    // quads and emitted once.
+    const int n = 200;
+    std::string text;
+    char line[64];
+    for (int i = 0; i < (n + 1) * (n + 1); i++) {
+        std::snprintf(line, sizeof(line), "v %d %d 0\n", i % (n + 1),
+                      i / (n + 1));
+        text += line;
+    }
+    for (int i = 0; i < n * n; i++) {
+        int a = i / n * (n + 1) + i % n + 1, b = a + n + 1;
+        std::snprintf(line, sizeof(line), "f %d %d %d %d\n", a, a + 1,
+                      b + 1, b);
+        text += line;
+    }
+    ObjLoadResult result = parseObj(text);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.mesh.positions.size(), 40401u);
+    EXPECT_EQ(result.mesh.triangleCount(), 80000u);
+    // First use emits: the first quad's corners are vertices 0..3.
+    std::vector<uint32_t> first(result.mesh.indices.begin(),
+                                result.mesh.indices.begin() + 6);
+    EXPECT_EQ(first, (std::vector<uint32_t>{0, 1, 2, 0, 2, 3}));
 }
 
 TEST(ObjLoader, LoadFileAndRender)

@@ -88,8 +88,6 @@ tinyOptions()
 
 TEST(Tracer, RingWraparoundKeepsNewestOldestFirst)
 {
-    if (!Tracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out";
     Tracer tracer(4);
     tracer.setMask(traceAllCategories);
     for (uint64_t i = 0; i < 10; i++)
@@ -106,8 +104,6 @@ TEST(Tracer, RingWraparoundKeepsNewestOldestFirst)
 
 TEST(Tracer, MaskGatesPerCategory)
 {
-    if (!Tracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out";
     Tracer tracer(16);
     tracer.setMask(traceBit(TraceCategory::Sm) |
                    traceBit(TraceCategory::Rt));
@@ -142,8 +138,6 @@ TEST(Tracer, ParseCategorySpec)
 
 TEST(Tracer, ChromeTraceJsonIsStructurallyValid)
 {
-    if (!Tracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out";
     Tracer tracer(16);
     tracer.setMask(traceAllCategories);
     tracer.instant(TraceCategory::Cache, "l1_miss", 2, 100, "line",
@@ -170,8 +164,6 @@ TEST(Tracer, ChromeTraceJsonIsStructurallyValid)
 
 TEST(Tracer, SortedEventsMergeCategoriesByCycle)
 {
-    if (!Tracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out";
     Tracer tracer(8);
     tracer.setMask(traceAllCategories);
     tracer.instant(TraceCategory::Dram, "late", 0, 30);
@@ -258,9 +250,7 @@ TEST(Runner, TracingHasNoObserverEffect)
     traced.traceMask = traceAllCategories;
     WorkloadResult on = runWorkload(workload, traced);
     ASSERT_NE(on.trace, nullptr);
-    if (Tracer::compiledIn()) {
-        EXPECT_GT(on.trace->size(), 0u);
-    }
+    EXPECT_GT(on.trace->size(), 0u);
 
     EXPECT_EQ(off.stats.cycles, on.stats.cycles);
     EXPECT_EQ(off.stats.threadInstructions,
@@ -291,12 +281,10 @@ TEST(Runner, ResultCarriesStatsPhasesAndTrace)
         EXPECT_EQ(result.phases[i].name, expected[i]);
 
     // At least the four hardware categories must have events.
-    if (Tracer::compiledIn()) {
-        EXPECT_GT(result.trace->emitted(TraceCategory::Sm), 0u);
-        EXPECT_GT(result.trace->emitted(TraceCategory::Rt), 0u);
-        EXPECT_GT(result.trace->emitted(TraceCategory::Cache), 0u);
-        EXPECT_GT(result.trace->emitted(TraceCategory::Dram), 0u);
-    }
+    EXPECT_GT(result.trace->emitted(TraceCategory::Sm), 0u);
+    EXPECT_GT(result.trace->emitted(TraceCategory::Rt), 0u);
+    EXPECT_GT(result.trace->emitted(TraceCategory::Cache), 0u);
+    EXPECT_GT(result.trace->emitted(TraceCategory::Dram), 0u);
 }
 
 TEST(RunReport, RoundTripsThroughDisk)

@@ -3,7 +3,8 @@
 Seven rules ported from the regex engine (same names, same
 semantics, now running over the tokenizer's literal-safe view), the
 hot-path-container rule guarding the event loop's data layout, the
-bvh-order rule keeping the BVH builder's permutation explicit, plus
+bvh-order rule keeping the BVH builder's permutation explicit, the
+profile-observer rule keeping the cycle account out of timing, plus
 two whole-program rules:
 
   layering         enforce the #include dependency matrix between
@@ -326,6 +327,42 @@ def check_bvh_order(ctx, report):
                        "standard library produces, and the tree must "
                        "not depend on it; write the permutation out "
                        "explicitly" % match.group(1))
+
+
+def _check_spans(text):
+    """[begin, end) offsets of every LUMI_CHECK(...) in @p text (a
+    code view, so parens in literals never count)."""
+    for match in re.finditer(r"\bLUMI_CHECK\s*\(", text):
+        depth = 0
+        for i in range(match.end() - 1, len(text)):
+            depth += {"(": 1, ")": -1}.get(text[i], 0)
+            if depth == 0:
+                yield match.start(), i + 1
+                break
+
+
+@rule("profile-observer",
+      "The top-down cycle account is a pure observer: in src/gpu, "
+      "src/rt and src/compute a CycleProfile read (sm(), rt(), "
+      "smTotal() or rtTotal() on profile_ or profile()) is allowed "
+      "only in src/gpu/stat_bindings.cc and inside a LUMI_CHECK, so "
+      "no bucket can feed back into simulated timing.")
+def check_profile_observer(ctx, report):
+    pattern = re.compile(r"\bprofile(?:_|\s*\(\s*\))\s*(?:\.|->)\s*"
+                         r"(sm|rt|smTotal|rtTotal)\s*\(")
+    for path in ctx.source_files(("src/gpu", "src/rt", "src/compute")):
+        if os.path.relpath(path, ctx.root) == "src/gpu/stat_bindings.cc":
+            continue
+        clean = ctx.file(path).clean
+        checks = list(_check_spans(clean))
+        for match in pattern.finditer(clean):
+            if any(b <= match.start() < e for b, e in checks):
+                continue
+            report(path, clean.count("\n", 0, match.start()) + 1,
+                   "CycleProfile::%s() read outside a LUMI_CHECK and "
+                   "src/gpu/stat_bindings.cc; the profile only "
+                   "observes, and simulated timing must never depend "
+                   "on it" % match.group(1))
 
 
 # --------------------------------------------------------------- #

@@ -9,7 +9,8 @@ Registered in ctest as `lint_fixtures`. Four stages:
      miniature repo root) and require the findings to EXACTLY equal
      the `// expect(<rule>)` markers in the fixtures -- every rule
      fires on its marked line and nowhere else, and the
-     `// lint:allow(<rule>)` suppression holds.
+     `// lint:allow(<rule>)` suppression holds; then the
+     profile-observer rule's file scope on a scratch tree.
   3. Output formats: --json and --sarif must carry the same findings
      in the documented shapes.
   4. Real tree: tools/lint.py on this checkout must exit 0.
@@ -134,6 +135,22 @@ def fixture_checks():
           "fixtures: no duplicate findings")
 
 
+def profile_observer_checks():
+    # The same read is exempt in stat_bindings.cc and flagged in the
+    # RT model; src/lumibench is outside the rule's scope.
+    with tempfile.TemporaryDirectory() as tmp:
+        for rel in ("src/gpu/stat_bindings.cc", "src/rt/unit.cc",
+                    "src/lumibench/query.cc"):
+            os.makedirs(os.path.join(tmp, os.path.dirname(rel)))
+            with open(os.path.join(tmp, rel), "w") as handle:
+                handle.write("f();\nreturn gpu.profile().rt(0).sum();\n")
+        analyzer = Analyzer(tmp)
+        analyzer.run(only={"profile-observer"})
+        got = {(f.rel, f.line) for f in analyzer.findings}
+    check(got == {(os.path.join("src", "rt", "unit.cc"), 2)},
+          "profile-observer: stat_bindings.cc exempt, src/rt flagged")
+
+
 # ------------------------------------------------------------- #
 # 3. Output formats (through the real CLI).
 # ------------------------------------------------------------- #
@@ -197,6 +214,7 @@ def real_tree_check():
 def main():
     tokenizer_checks()
     fixture_checks()
+    profile_observer_checks()
     output_checks()
     real_tree_check()
     if failures:
