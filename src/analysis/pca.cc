@@ -162,11 +162,15 @@ pca(const std::vector<std::vector<double>> &data,
     std::vector<std::vector<double>> vectors;
     jacobiEigen(cov, eigenvalues, vectors);
 
-    // Order components by eigenvalue, descending.
+    // Order components by eigenvalue, descending; tied eigenvalues
+    // keep column order, so the result never depends on how the
+    // standard library's sort permutes equal keys.
     std::vector<size_t> order(cols);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return eigenvalues[a] > eigenvalues[b];
+        if (eigenvalues[a] != eigenvalues[b])
+            return eigenvalues[a] > eigenvalues[b];
+        return a < b;
     });
 
     double total = 0.0;

@@ -5,21 +5,15 @@
  * Each timing component (SIMT core, RT unit, the memory system)
  * *registers* the earliest future cycle at which it has work; the
  * loop pops the components due at the current landing cycle and
- * cycles only those, instead of polling every component's
- * nextEventCycle() every iteration. The queue is an indexed binary
- * min-heap over a fixed component set: update() re-keys a component
- * in O(log n) and popDue() hands back the due set in ascending
- * component order (the loop's deterministic SM order).
+ * cycles only those. The queue is an indexed binary min-heap over a
+ * fixed component set: update() re-keys a component in O(log n) and
+ * popDue() hands back the due set in ascending component order (the
+ * loop's deterministic SM order).
  *
- * Exactness contract: a component's registered cycle must be exactly
- * its nextEventCycle() as of the last cycle that could have changed
- * its state. The loop therefore re-registers every component it
- * cycled, every component a cycled component may have poked across
- * an SM pair (core <-> RT unit), and the memory system every
- * iteration. Under that contract the heap minimum equals the old
- * all-component min-scan cycle for cycle, which is what keeps the
- * landing-cycle set -- and with it every timeline/interval sample --
- * byte-identical (see DESIGN.md, "Event scheduler").
+ * A registered cycle must be exactly the component's
+ * nextEventCycle() as of the last landing that changed its state;
+ * the components flag their own changes, and Gpu checks each
+ * popped key (see DESIGN.md, "Event scheduler").
  */
 
 #ifndef LUMI_GPU_EVENT_QUEUE_HH

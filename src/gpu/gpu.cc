@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "check/check.hh"
 #include "gpu/host_profile.hh"
@@ -27,16 +26,9 @@ Gpu::Gpu(const GpuConfig &config, uint64_t timeline_interval,
     profile_.init(config_.numSms);
     smHadWork_.assign(static_cast<size_t>(config_.numSms), 0);
     drainTail_.assign(static_cast<size_t>(config_.numSms), 0);
-    coreCycled_.assign(static_cast<size_t>(config_.numSms), 0);
-    rtCycled_.assign(static_cast<size_t>(config_.numSms), 0);
     rtDue_.assign(static_cast<size_t>(config_.numSms), 0);
-    coreDirty_.assign(static_cast<size_t>(config_.numSms), 0);
     due_.reserve(queue_.components());
-    // The polling loop is the reference for the loop-parity tests
-    // only; deliberately not a GpuConfig knob so config fingerprints
-    // (and the result cache) are unaffected.
-    const char *legacy = std::getenv("LUMI_LEGACY_LOOP");
-    legacyLoop_ = legacy && *legacy && *legacy != '0';
+    LUMI_CHECKS_ONLY(registeredAt_.assign(queue_.components(), 0);)
 }
 
 TimelineSample
@@ -73,9 +65,6 @@ Gpu::fillSlots(const KernelLaunch &launch, uint32_t &next_warp)
                 stats_.raysByKind[k] += ctx.rayCounts()[k];
             core.assignWarp(ctx.take(), next_warp, now_);
             smHadWork_[i] = 1;
-            // The fresh warp is ready at now_: the core must
-            // re-register its next-event cycle (event loop).
-            coreDirty_[i] = 1;
             next_warp++;
             assigned = true;
         }
@@ -121,7 +110,7 @@ Gpu::reportDeadlock()
 }
 
 void
-Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
+Gpu::accountSpan(uint64_t next)
 {
     // Accumulate state-weighted statistics over (now, next]: no
     // component changes state in the skipped span.
@@ -133,13 +122,10 @@ Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
     // classification from post-issue warp state. Pure accounting:
     // nothing here feeds back into simulated timing. A core the
     // event loop skipped had no issuable warp at now (or it would
-    // have been due), so its outcome is None by construction and
-    // its stale lastOutcome() is never read.
+    // have been due), so its outcome at now is None by construction.
     for (size_t i = 0; i < cores_.size(); i++) {
         uint64_t rest = dt;
-        IssueOutcome outcome = (!core_cycled || core_cycled[i])
-                                   ? cores_[i]->lastOutcome()
-                                   : IssueOutcome::None;
+        IssueOutcome outcome = cores_[i]->outcomeAt(now_);
         if (outcome == IssueOutcome::Issued) {
             profile_.addSm(static_cast<int>(i),
                            SmCycleBucket::Issued, 1);
@@ -213,6 +199,10 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
 {
     const int n = config_.numSms;
     const int mem_comp = 2 * n;
+    auto reRegister = [&](int comp, uint64_t cycle) {
+        queue_.update(comp, cycle);
+        LUMI_CHECKS_ONLY(registeredAt_[comp] = now_;)
+    };
     // The first landing cycles every component unconditionally: the
     // launch just filled slots at now_, and stale registrations from
     // a previous launch are overwritten when everything re-registers.
@@ -238,18 +228,34 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         if (first) {
             for (int i = 0; i < n; i++) {
                 cores_[i]->cycle(now_);
-                coreCycled_[i] = 1;
                 rtDue_[i] = 1;
             }
         } else {
             queue_.popDue(now_, due_);
+#if LUMI_CHECKS_ENABLED
+            // Before anything is cycled, each due key re-derived from
+            // the component's own state must still be now_: a change
+            // nobody flagged lands here too early or too late.
             for (int comp : due_) {
-                if (comp < n) {
+                uint64_t at = registeredAt_[comp];
+                uint64_t key =
+                    comp < n ? cores_[comp]->nextEventCycle(at)
+                    : comp < mem_comp
+                        ? rtUnits_[comp - n]->nextEventCycle(at)
+                        : mem_->nextEventCycle(at);
+                LUMI_CHECK(Sched, key == now_,
+                           "component %d registered at %llu is due "
+                           "at %llu, but its state says %llu",
+                           comp, static_cast<unsigned long long>(at),
+                           static_cast<unsigned long long>(now_),
+                           static_cast<unsigned long long>(key));
+            }
+#endif
+            for (int comp : due_) {
+                if (comp < n)
                     cores_[comp]->cycle(now_);
-                    coreCycled_[comp] = 1;
-                } else if (comp < mem_comp) {
+                else if (comp < mem_comp)
                     rtDue_[comp - n] = 1;
-                }
                 // mem_comp carries no cycle() of its own: fills
                 // drain lazily inside issueRead/issueWrite; its
                 // registration only contributes landing cycles.
@@ -258,16 +264,13 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         if (timed)
             profiler_->mark(HostProfiler::SimtCores);
 
-        // RT phase: units due from the queue, plus units handed a
-        // traceRay by their core THIS cycle (the old loop advanced
-        // such a ray in the same iteration, rt phase following core
-        // phase, so the event loop must too).
+        // RT phase: units due from the queue, plus units whose core
+        // handed them a traceRay this landing (a ray enqueued at
+        // cycle T advances at T). The flags were consumed at the
+        // previous landing, so changed() here means enqueued now.
         for (int i = 0; i < n; i++) {
-            if (rtDue_[i] || (coreCycled_[i] &&
-                              cores_[i]->rtEnqueuedThisCycle())) {
+            if (rtDue_[i] || rtUnits_[i]->changed())
                 rtUnits_[i]->cycle(now_);
-                rtCycled_[i] = 1;
-            }
         }
         if (timed)
             profiler_->mark(HostProfiler::RtUnits);
@@ -275,27 +278,19 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         if (timed)
             profiler_->mark(HostProfiler::FillSlots);
 
-        // Re-registration: every component whose state may have
-        // changed this iteration recomputes its next-interesting
-        // cycle -- cycled components, cores whose RT unit actually
-        // handed a warp back (wakeWarp is SM-pair-local and flags
-        // the core), cores handed fresh warps by fillSlots, and the
-        // memory system (any issue can push a fill completion).
-        // Unchanged components keep their exact registration, so
-        // the heap minimum equals the old all-component min-scan.
+        // Re-registration: each core and RT unit flags its own state
+        // changes (a cycle, a fresh warp from fillSlots, a wake from
+        // its RT unit, an enqueued ray), and exactly the flagged ones
+        // recompute their next-interesting cycle. The memory system
+        // re-registers every landing (any issue can push a fill
+        // completion; no events when resources are unlimited).
         for (int i = 0; i < n; i++) {
-            bool woken = cores_[i]->consumeWoken();
-            if (coreCycled_[i] || coreDirty_[i] || woken) {
-                queue_.update(i, cores_[i]->nextEventCycle(now_));
-                coreDirty_[i] = 0;
-            }
-            if (rtCycled_[i])
-                queue_.update(n + i,
-                              rtUnits_[i]->nextEventCycle(now_));
+            if (cores_[i]->consumeChanged())
+                reRegister(i, cores_[i]->nextEventCycle(now_));
+            if (rtUnits_[i]->consumeChanged())
+                reRegister(n + i, rtUnits_[i]->nextEventCycle(now_));
         }
-        // Fill completions wake stalled requesters under finite
-        // memory-system resources (no events when unlimited).
-        queue_.update(mem_comp, mem_->nextEventCycle(now_));
+        reRegister(mem_comp, mem_->nextEventCycle(now_));
 
         uint64_t next = queue_.minCycle();
         if (next == UINT64_MAX) {
@@ -307,60 +302,12 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         if (timed)
             profiler_->mark(HostProfiler::MemEvents);
 
-        accountSpan(next, coreCycled_.data());
+        accountSpan(next);
         if (timed)
             profiler_->mark(HostProfiler::Observe);
 
-        std::fill(coreCycled_.begin(), coreCycled_.end(), 0);
-        std::fill(rtCycled_.begin(), rtCycled_.end(), 0);
         std::fill(rtDue_.begin(), rtDue_.end(), 0);
         first = false;
-    }
-}
-
-void
-Gpu::runLegacyLoop(const KernelLaunch &launch, uint32_t &next_warp)
-{
-    for (;;) {
-        if (cycleBudget_ != 0 && now_ >= cycleBudget_) {
-            aborted_ = true;
-            break;
-        }
-        if (!anyBusy(next_warp, launch))
-            break;
-
-        bool timed = profiler_ && profiler_->beginIteration();
-
-        for (auto &core : cores_)
-            core->cycle(now_);
-        if (timed)
-            profiler_->mark(HostProfiler::SimtCores);
-        for (auto &rt : rtUnits_)
-            rt->cycle(now_);
-        if (timed)
-            profiler_->mark(HostProfiler::RtUnits);
-        fillSlots(launch, next_warp);
-        if (timed)
-            profiler_->mark(HostProfiler::FillSlots);
-
-        uint64_t next = UINT64_MAX;
-        for (auto &core : cores_)
-            next = std::min(next, core->nextEventCycle(now_));
-        for (auto &rt : rtUnits_)
-            next = std::min(next, rt->nextEventCycle(now_));
-        next = std::min(next, mem_->nextEventCycle(now_));
-        if (next == UINT64_MAX) {
-            // Work may have completed inside this very cycle.
-            if (anyBusy(next_warp, launch))
-                reportDeadlock();
-            break;
-        }
-        if (timed)
-            profiler_->mark(HostProfiler::MemEvents);
-
-        accountSpan(next, nullptr);
-        if (timed)
-            profiler_->mark(HostProfiler::Observe);
     }
 }
 
@@ -405,10 +352,7 @@ Gpu::run(const KernelLaunch &launch)
         sampler_->maybeSample(now_);
     fillSlots(launch, next_warp);
 
-    if (legacyLoop_)
-        runLegacyLoop(launch, next_warp);
-    else
-        runEventLoop(launch, next_warp);
+    runEventLoop(launch, next_warp);
 
     // Retire every in-flight fill so the MSHR conservation checks
     // and occupancy histograms cover the whole run.

@@ -170,15 +170,12 @@ class Gpu
                  const KernelLaunch &launch) const;
     /**
      * Close the landing span [now_, next): top-down SM cycle
-     * accounting (cores not in @p core_cycled provably produced
-     * IssueOutcome::None, so their stale outcome is not read),
-     * residency statistics weighted from the running occupancy
-     * totals, then the landing bookkeeping (clock, timeline,
-     * interval sampler). @p core_cycled null means every core was
-     * cycled (the legacy polling loop). RT units charge their own
+     * accounting, residency statistics weighted from the running
+     * occupancy totals, then the landing bookkeeping (clock,
+     * timeline, interval sampler). RT units charge their own
      * profile lazily; this settles them only when a sample is due.
      */
-    void accountSpan(uint64_t next, const uint8_t *core_cycled);
+    void accountSpan(uint64_t next);
     /** Charge every RT unit's profile up to now_ (RtUnit::
      *  settleProfile), so profile.* reads complete. */
     void settleRtProfile();
@@ -188,11 +185,6 @@ class Gpu
     /** Event-driven cycle loop: pops due components off queue_. */
     void runEventLoop(const KernelLaunch &launch,
                       uint32_t &next_warp);
-    /** The pre-event-queue cycle-the-world loop, kept runnable
-     *  (LUMI_LEGACY_LOOP=1) only as the reference the loop-parity
-     *  tests hold the event loop to. */
-    void runLegacyLoop(const KernelLaunch &launch,
-                       uint32_t &next_warp);
 
     GpuConfig config_;
     AddressSpace space_;
@@ -217,20 +209,19 @@ class Gpu
     EventQueue queue_;
     /** Due components at the current landing (popDue scratch). */
     std::vector<int> due_;
-    /** Per-SM flags for the current loop iteration. */
-    std::vector<uint8_t> coreCycled_;
-    std::vector<uint8_t> rtCycled_;
+    /** Per-SM: the RT unit was due at the current landing. */
     std::vector<uint8_t> rtDue_;
-    /** Cores handed fresh warps by fillSlots (re-register). */
-    std::vector<uint8_t> coreDirty_;
+#if LUMI_CHECKS_ENABLED
+    /** Per component: the landing of its last registration, from
+     *  which the pop-time check re-derives its key. */
+    std::vector<uint64_t> registeredAt_;
+#endif
     uint64_t now_ = 0;
     uint64_t cycleBudget_ = 0;
     IntervalSampler *sampler_ = nullptr;
     HostProfiler *profiler_ = nullptr;
     bool aborted_ = false;
     bool deadlocked_ = false;
-    /** LUMI_LEGACY_LOOP=1: run the polling loop instead. */
-    bool legacyLoop_ = false;
 };
 
 } // namespace lumi

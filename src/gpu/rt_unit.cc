@@ -54,6 +54,7 @@ RtUnit::enqueue(SimtCore *core, int warp_slot, uint32_t warp_id,
                "sm%d RT unit has no scene layout for warp %u", smId_,
                warp_id);
     settleProfile(now);
+    changed_ = true;
     PendingWarp pending{core, warp_slot, warp_id, instr};
     if (residentWarps_ < config_.rtMaxWarps &&
         pendingHead_ == pending_.size()) {
@@ -165,6 +166,7 @@ void
 RtUnit::cycle(uint64_t now)
 {
     settleProfile(now);
+    changed_ = true;
     if (writebackHead_ < writebacks_.size())
         flushWritebacks(now);
     int issued = 0;

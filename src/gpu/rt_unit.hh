@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "bvh/traversal.hh"
@@ -60,6 +61,11 @@ class RtUnit
 
     /** Earliest cycle at which this unit has work to do. */
     uint64_t nextEventCycle(uint64_t now) const;
+
+    /** True if enqueue or cycle ran since the last consumeChanged()
+     *  (which clears it): only then can nextEventCycle have moved. */
+    bool changed() const { return changed_; }
+    bool consumeChanged() { return std::exchange(changed_, false); }
 
     /** Warps currently resident (for occupancy accounting). */
     int activeWarps() const { return residentWarps_; }
@@ -233,6 +239,7 @@ class RtUnit
     int residentWarps_ = 0;
     /** Cycle up to which profile_ holds this unit's account. */
     uint64_t profiledTo_ = 0;
+    bool changed_ = false;
 };
 
 } // namespace lumi

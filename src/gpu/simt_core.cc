@@ -43,6 +43,7 @@ SimtCore::assignWarp(WarpProgram &&program, uint32_t warp_id,
         residentWarps_++;
         gauge_.residentWarps++;
         stats_.warpsLaunched++;
+        changed_ = true;
         LUMI_CHECK(Simt, residentWarps_ <= config_.maxWarpsPerSm,
                    "sm%d over-subscribed: %d resident warps with "
                    "maxWarpsPerSm=%d",
@@ -90,7 +91,8 @@ void
 SimtCore::cycle(uint64_t now)
 {
     outcome_ = IssueOutcome::None;
-    rtEnqueued_ = false;
+    outcomeCycle_ = now;
+    changed_ = true;
     int pick = -1;
     size_t count = slots_.size();
     if (config_.scheduler == WarpSchedulerPolicy::Gto) {
@@ -310,7 +312,6 @@ SimtCore::issue(int slot_index, uint64_t now)
         // Remember issue time to attribute the latency at wake-up.
         sleepStart_.resize(slots_.size(), 0);
         sleepStart_[slot_index] = now;
-        rtEnqueued_ = true;
         rtUnit_.enqueue(this, slot_index, slot.warpId, &instr, now);
         break;
       }
@@ -350,7 +351,7 @@ SimtCore::wakeWarp(int slot, uint64_t ready_cycle)
                static_cast<unsigned long long>(sleepStart_[slot]));
     setState(slot, SlotState::RtWait);
     readyKey_[slot] = ready_cycle;
-    woken_ = true;
+    changed_ = true;
     if (slot < static_cast<int>(sleepStart_.size())) {
         stats_.latencyByOp[static_cast<int>(WarpOp::TraceRay)] +=
             ready_cycle - sleepStart_[slot];

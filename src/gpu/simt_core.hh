@@ -15,6 +15,7 @@
 #define LUMI_GPU_SIMT_CORE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gpu/config.hh"
@@ -79,26 +80,18 @@ class SimtCore
     /** Called by the RT unit when a warp's traceRay completes. */
     void wakeWarp(int slot, uint64_t ready_cycle);
 
-    /** What the issue slot did in the last cycle() call. */
-    IssueOutcome lastOutcome() const { return outcome_; }
-
-    /** True when the last cycle() issued a traceRay into the RT
-     *  unit: the event loop must cycle that unit this iteration
-     *  (the polling loop's rt phase followed the core phase, so a
-     *  ray enqueued at cycle T always advanced at T). */
-    bool rtEnqueuedThisCycle() const { return rtEnqueued_; }
-
-    /** True if wakeWarp ran since the last call (and clears the
-     *  flag): the event loop re-registers this core only when its
-     *  RT unit actually handed a warp back, not on every RT-unit
-     *  cycle. */
-    bool
-    consumeWoken()
+    /** What the issue slot did at cycle @p now: None unless cycle()
+     *  ran at @p now. */
+    IssueOutcome
+    outcomeAt(uint64_t now) const
     {
-        bool woken = woken_;
-        woken_ = false;
-        return woken;
+        return outcomeCycle_ == now ? outcome_ : IssueOutcome::None;
     }
+
+    /** True if assignWarp, cycle or wakeWarp ran since the last
+     *  call (and clears the flag): only then can nextEventCycle
+     *  have moved, so only then does the loop re-register the core. */
+    bool consumeChanged() { return std::exchange(changed_, false); }
 
     /**
      * Classify why nothing (more) can issue, from current warp
@@ -198,8 +191,8 @@ class SimtCore
     int lastIssued_ = -1;
     uint64_t launchCounter_ = 0;
     IssueOutcome outcome_ = IssueOutcome::None;
-    bool rtEnqueued_ = false;
-    bool woken_ = false;
+    uint64_t outcomeCycle_ = 0;
+    bool changed_ = false;
 };
 
 } // namespace lumi

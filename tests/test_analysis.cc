@@ -78,6 +78,26 @@ TEST(Pca, ComponentsAreUnitVectors)
     }
 }
 
+TEST(Pca, TiedEigenvaluesKeepColumnOrder)
+{
+    // 20 mutually orthogonal +-1 Walsh columns over 32 rows: zero
+    // mean, unit variance, so the covariance is exactly I and every
+    // eigenvalue ties at 1.
+    std::vector<std::vector<double>> data(32, std::vector<double>(20));
+    for (int r = 0; r < 32; r++) {
+        for (int c = 0; c < 20; c++)
+            data[r][c] = __builtin_parity(r & (c + 1)) ? -1.0 : 1.0;
+    }
+    PcaResult result = pca(data, 1.0);
+    ASSERT_EQ(result.kept, 20);
+    for (int k = 0; k < 20; k++) {
+        EXPECT_EQ(result.eigenvalues[k], 1.0) << k;
+        for (int c = 0; c < 20; c++)
+            EXPECT_EQ(result.components[k][c], c == k ? 1.0 : 0.0)
+                << k << "," << c;
+    }
+}
+
 TEST(Pca, DenseColumnsDropsNanColumns)
 {
     std::vector<std::vector<double>> rows = {

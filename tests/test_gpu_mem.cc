@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -603,17 +602,17 @@ TEST(MemSystem, InfiniteResourcesMatchOracleGolden)
     struct Golden
     {
         const char *id;
-        uint64_t cycles, instructions;
+        uint64_t cycles, instructions, raysTraced;
         uint64_t l1ShaderReads, l1ShaderHits, l1ShaderMisses;
         uint64_t l1RtReads, l1RtHits, l1RtMisses, l1RtPendingHits;
         uint64_t l2RtMisses, dramAccesses;
     };
     const Golden goldens[] = {
-        {"BUNNY_AO", 27330, 832, 564, 330, 205, 24204, 19159, 1467,
-         3578, 933, 1153},
-        {"SPNZA_AO", 19888, 832, 592, 398, 169, 31695, 26190, 1259,
-         4246, 673, 877},
-        {"WKND_PT", 15994, 3874, 1500, 1395, 79, 9668, 8077, 229,
+        {"BUNNY_AO", 27330, 832, 1280, 564, 330, 205, 24204, 19159,
+         1467, 3578, 933, 1153},
+        {"SPNZA_AO", 19888, 832, 1280, 592, 398, 169, 31695, 26190,
+         1259, 4246, 673, 877},
+        {"WKND_PT", 15994, 3874, 743, 1500, 1395, 79, 9668, 8077, 229,
          1362, 100, 222},
     };
     RunOptions options;
@@ -630,6 +629,8 @@ TEST(MemSystem, InfiniteResourcesMatchOracleGolden)
         WorkloadResult result = runWorkload(*workload, options);
         EXPECT_EQ(result.stats.cycles, golden.cycles) << golden.id;
         EXPECT_EQ(result.stats.instructions, golden.instructions)
+            << golden.id;
+        EXPECT_EQ(result.stats.raysTraced, golden.raysTraced)
             << golden.id;
         EXPECT_EQ(result.l1Shader.reads, golden.l1ShaderReads)
             << golden.id;
@@ -756,56 +757,6 @@ TEST(GoldenParity, DynamicScenePins)
     }
 }
 
-TEST(GoldenParity, LegacyLoopMatchesEventLoop)
-{
-    // The retained polling loop (LUMI_LEGACY_LOOP=1) and the event
-    // scheduler must agree to the cycle. The pins above anchor the
-    // event loop to the seed; this anchors the two loops to each
-    // other on graphics and query workloads under both the unlimited
-    // mobile config and the finite-resource Table 4 machine, where
-    // the due-set computation actually skips components and a
-    // registration bug would move the landing cycles.
-    struct Point
-    {
-        Workload workload;
-        GpuConfig config;
-    };
-    const Point points[] = {
-        {{SceneId::AMR, ShaderKind::PointContainment},
-         GpuConfig::table4()},
-        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
-         GpuConfig::mobile()},
-        {{SceneId::SPNZA, ShaderKind::AmbientOcclusion},
-         GpuConfig::mobile()},
-        {{SceneId::WKND, ShaderKind::PathTracing}, GpuConfig::mobile()},
-        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
-         GpuConfig::table4()},
-    };
-    for (const Point &point : points) {
-        RunOptions options;
-        options.params.width = 16;
-        options.params.height = 16;
-        options.config = point.config;
-        const std::string where =
-            point.workload.id() + "/" + point.config.name;
-        WorkloadResult event = runWorkload(point.workload, options);
-        setenv("LUMI_LEGACY_LOOP", "1", 1);
-        WorkloadResult legacy = runWorkload(point.workload, options);
-        unsetenv("LUMI_LEGACY_LOOP");
-        EXPECT_EQ(legacy.stats.cycles, event.stats.cycles) << where;
-        EXPECT_EQ(legacy.stats.instructions, event.stats.instructions)
-            << where;
-        EXPECT_EQ(legacy.stats.raysTraced, event.stats.raysTraced)
-            << where;
-        EXPECT_EQ(legacy.l1Rt.reads, event.l1Rt.reads) << where;
-        EXPECT_EQ(legacy.l1Rt.hits, event.l1Rt.hits) << where;
-        EXPECT_EQ(legacy.l1Rt.misses, event.l1Rt.misses) << where;
-        EXPECT_EQ(legacy.l1Shader.reads, event.l1Shader.reads) << where;
-        EXPECT_EQ(legacy.l2Rt.misses, event.l2Rt.misses) << where;
-        EXPECT_EQ(legacy.dram.accesses, event.dram.accesses) << where;
-    }
-}
-
 /** FNV-1a over the bytes of @p text, continuing from @p hash. */
 uint64_t
 fnv1a(uint64_t hash, const std::string &text)
@@ -824,7 +775,8 @@ TEST(GoldenParity, ObservedOutputsArePinned)
     // (profile.*, sm<NN>.profile.* and the residency integrals
     // included) and every interval sample, as one FNV-1a digest of
     // the statsJson and interval-series bytes. Table 4 runs exercise
-    // the MSHR retry storm, where most landings change little.
+    // the MSHR retry storm, where most landings change little. Each
+    // digest also matched the retired cycle-everything polling loop.
     struct Pin
     {
         Workload workload;
@@ -839,6 +791,10 @@ TEST(GoldenParity, ObservedOutputsArePinned)
          GpuConfig::table4(), 500, 13373288151099255416ull},
         {{SceneId::WKND, ShaderKind::PathTracing}, GpuConfig::mobile(),
          1000, 3811124429173825115ull},
+        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
+         GpuConfig::mobile(), 1000, 17339789824477161579ull},
+        {{SceneId::SPNZA, ShaderKind::AmbientOcclusion},
+         GpuConfig::mobile(), 1000, 12660117213596686326ull},
     };
     for (const Pin &pin : pins) {
         RunOptions options;

@@ -12,6 +12,7 @@
 
 #include "bvh/traversal.hh"
 #include "geometry/obj_loader.hh"
+#include "math/rng.hh"
 #include "scene/scene.hh"
 
 namespace lumi
@@ -143,6 +144,59 @@ TEST(ObjLoader, Errors)
         EXPECT_NE(corner.error.find("bad face corner"),
                   std::string::npos)
             << face;
+    }
+}
+
+TEST(ObjLoader, MutatedInputsFailClosed)
+{
+    // Seeded byte mutations of this file's fixtures: each mutant
+    // loads with every index in range or fails with a message.
+    const char *const fixtures[] = {
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 0 1\n"
+        "vn 0 0 1\nf 1/1/1 2/2/1 3/3/1\n",
+        "# a comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 1 0\n"
+        "f 1//1 2//1 3//1  # trailing\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 -1\n"
+        "f 1//1 2//1 3//1\nf 1//2 2//2 3//2\n",
+        "mtllib foo.mtl\no thing\ng part\ns off\nusemtl bar\n"
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 1 1 0\n"
+        "f -3 -2 -1\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+        "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n",
+    };
+    const char inserts[] = "0123456789-/";
+    Rng rng(12);
+    for (const char *fixture : fixtures) {
+        for (int mutant = 0; mutant < 300; mutant++) {
+            std::string text = fixture;
+            for (uint32_t edit = rng.nextBelow(3); edit < 3; edit++) {
+                size_t at = rng.nextBelow(
+                    static_cast<uint32_t>(text.size()));
+                uint32_t op = rng.nextBelow(4);
+                if (op == 0)
+                    text[at] ^= static_cast<char>(1 << rng.nextBelow(8));
+                else if (op == 1)
+                    text.erase(at, 1);
+                else
+                    text.insert(at, 1,
+                                op == 2 ? text[at]
+                                        : inserts[rng.nextBelow(12)]);
+            }
+            ObjLoadResult result = parseObj(text);
+            if (!result.ok) {
+                EXPECT_FALSE(result.error.empty()) << text;
+                continue;
+            }
+            const TriangleMesh &mesh = result.mesh;
+            EXPECT_EQ(mesh.normals.size(), mesh.positions.size());
+            EXPECT_TRUE(mesh.uvs.empty() ||
+                        mesh.uvs.size() == mesh.positions.size());
+            for (uint32_t index : mesh.indices)
+                ASSERT_LT(index, mesh.positions.size()) << text;
+        }
     }
 }
 

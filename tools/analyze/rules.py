@@ -44,6 +44,8 @@ NONDET_PATTERNS = [
     (re.compile(r"\bstd::chrono::(?:system|steady|high_resolution)"
                 r"_clock\b"),
      "std::chrono clock"),
+    (re.compile(r"\b(?:secure_)?getenv\s*\("),
+     "getenv() (an environment knob)"),
 ]
 
 STAT_STRUCTS = [
@@ -73,9 +75,10 @@ UNORDERED_DECL_RE = re.compile(
 # --------------------------------------------------------------- #
 
 @rule("nondeterminism",
-      "No wall-clock or libc/std randomness inside the timing model "
-      "(src/gpu, src/rt, src/bvh, src/check); entropy comes from a "
-      "seeded lumi::Rng so cycle counts stay bit-identical.")
+      "No wall-clock, libc/std randomness or environment read inside "
+      "the timing model (src/gpu, src/rt, src/bvh, src/check); "
+      "entropy comes from a seeded lumi::Rng and knobs from GpuConfig "
+      "so cycle counts stay bit-identical.")
 def check_nondeterminism(ctx, report):
     for path in ctx.source_files(MODEL_DIRS):
         src = ctx.file(path)
@@ -84,8 +87,9 @@ def check_nondeterminism(ctx, report):
                 if pattern.search(line):
                     report(path, lineno,
                            "%s in the timing model; cycle counts "
-                           "must be deterministic (use a seeded "
-                           "lumi::Rng)" % what)
+                           "must depend only on the inputs (use a "
+                           "seeded lumi::Rng or a GpuConfig field)"
+                           % what)
 
 
 @rule("unordered-iter",

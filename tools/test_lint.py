@@ -9,8 +9,9 @@ Registered in ctest as `lint_fixtures`. Four stages:
      miniature repo root) and require the findings to EXACTLY equal
      the `// expect(<rule>)` markers in the fixtures -- every rule
      fires on its marked line and nowhere else, and the
-     `// lint:allow(<rule>)` suppression holds; then the
-     profile-observer rule's file scope on a scratch tree.
+     `// lint:allow(<rule>)` suppression holds; then the file scope
+     of the profile-observer rule and of the nondeterminism rule's
+     environment reads on scratch trees.
   3. Output formats: --json and --sarif must carry the same findings
      in the documented shapes.
   4. Real tree: tools/lint.py on this checkout must exit 0.
@@ -151,6 +152,25 @@ def profile_observer_checks():
           "profile-observer: stat_bindings.cc exempt, src/rt flagged")
 
 
+def env_knob_checks():
+    # An environment read is a timing input in the model, and fine in
+    # the CLI and bench front ends that turn it into a GpuConfig.
+    with tempfile.TemporaryDirectory() as tmp:
+        for rel in ("src/gpu/gpu.cc", "src/rt/unit.cc",
+                    "src/lumibench/runner.cc"):
+            os.makedirs(os.path.join(tmp, os.path.dirname(rel)))
+            with open(os.path.join(tmp, rel), "w") as handle:
+                handle.write("f();\nauto *v = std::getenv(\"X\");\n"
+                             "auto *w = getenv(\"Y\");"
+                             " // lint:allow(nondeterminism)\n")
+        analyzer = Analyzer(tmp)
+        analyzer.run(only={"nondeterminism"})
+        got = {(f.rel, f.line) for f in analyzer.findings}
+    check(got == {(os.path.join("src", "gpu", "gpu.cc"), 2),
+                  (os.path.join("src", "rt", "unit.cc"), 2)},
+          "nondeterminism: getenv flagged in src/gpu and src/rt only")
+
+
 # ------------------------------------------------------------- #
 # 3. Output formats (through the real CLI).
 # ------------------------------------------------------------- #
@@ -215,6 +235,7 @@ def main():
     tokenizer_checks()
     fixture_checks()
     profile_observer_checks()
+    env_knob_checks()
     output_checks()
     real_tree_check()
     if failures:
