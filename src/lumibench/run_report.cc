@@ -1,12 +1,15 @@
 #include "lumibench/run_report.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <type_traits>
 
 #include <sys/stat.h>
 
+#include "check/check.hh"
 #include "gpu/stat_bindings.hh"
 #include "trace/interval.hh"
 #include "trace/json.hh"
@@ -60,39 +63,134 @@ readJson(JsonRef value, std::vector<T> &records)
 }
 
 /**
- * Restore @p result's counter structs from the flat stats object
- * through the stat_bindings registrations the dump used. Entries
- * with no binding here (per-SM caches, the L2, formulas) live only
- * in the verbatim statsJson.
+ * One field of a WorkloadResult that a cached stats object restores:
+ * its stat name, its byte offset in the result and its decoder.
  */
-void
+struct FieldBinding
+{
+    std::string name;
+    size_t offset = 0;
+    /** Decode @p value into @p field; false fails the whole read. */
+    bool (*decode)(JsonRef value, void *field) = nullptr;
+};
+
+/** A bound counter must be a plain uint64 integer token. */
+bool
+decodeCounter(JsonRef value, void *field)
+{
+    return value.readCounter(*static_cast<uint64_t *>(field));
+}
+
+/** An accel.* formula field, read like any record field. */
+template <typename T>
+bool
+decodeFormulaField(JsonRef value, void *field)
+{
+    readJson(value, *static_cast<T *>(field));
+    return true;
+}
+
+/**
+ * The restore table, sorted by name and built once per process: the
+ * registerResultCounters() bindings of a prototype result plus its
+ * AccelStats fields (exposed as formulas, so they are not counters),
+ * each kept as an offset into WorkloadResult.
+ */
+const std::vector<FieldBinding> &
+restoreTable()
+{
+    static const std::vector<FieldBinding> table = [] {
+        auto prototype = std::make_unique<WorkloadResult>();
+        auto base = reinterpret_cast<uintptr_t>(prototype.get());
+        std::vector<FieldBinding> out;
+        auto bind = [&](std::string name, const void *field, size_t size,
+                        bool (*decode)(JsonRef, void *)) {
+            auto at = reinterpret_cast<uintptr_t>(field);
+            bool inside =
+                at >= base && at + size <= base + sizeof(WorkloadResult);
+            LUMI_CHECK(Mem, inside,
+                       "stat %s is bound outside WorkloadResult",
+                       name.c_str());
+            if (inside) // never write through it, whatever the mode
+                out.push_back({std::move(name), at - base, decode});
+        };
+        StatRegistry registry;
+        registerResultCounters(registry, *prototype);
+        registry.visitCounters(
+            [&](const std::string &name, const uint64_t *field) {
+                bind(name, field, sizeof(*field), &decodeCounter);
+            });
+        AccelStats::fields(prototype->accelStats,
+                           [&](const char *name, auto &field) {
+                               using T = std::decay_t<decltype(field)>;
+                               bind(std::string("accel.") + name, &field,
+                                    sizeof(field), &decodeFormulaField<T>);
+                           });
+        std::sort(out.begin(), out.end(),
+                  [](const FieldBinding &a, const FieldBinding &b) {
+                      return a.name < b.name;
+                  });
+        LUMI_CHECK(Mem,
+                   std::adjacent_find(out.begin(), out.end(),
+                                      [](const FieldBinding &a,
+                                         const FieldBinding &b) {
+                                          return a.name == b.name;
+                                      }) == out.end(),
+                   "a stat name is bound to two fields");
+        return out;
+    }();
+    return table;
+}
+
+/**
+ * Restore @p result's counter structs and accel.* fields from the
+ * flat stats object in one walk of its members against the restore
+ * table. Members with no binding (per-SM caches, the L2, formulas)
+ * live only in the verbatim statsJson. False, a miss, when the names
+ * are not strictly sorted (the dump writes them sorted and unique) or
+ * a bound counter is not a plain uint64 integer.
+ */
+bool
 restoreCounters(WorkloadResult &result, JsonRef stats)
 {
-    StatRegistry registry;
+    const std::vector<FieldBinding> &table = restoreTable();
+    auto bound = table.begin();
+    auto *base = reinterpret_cast<char *>(&result);
+    // Two buffers: an escaped key decodes into one while the
+    // previous key may still view the other.
+    std::string scratch[2];
+    std::string_view previous;
+    size_t index = 0;
+    for (JsonMember member : stats.members()) {
+        std::string_view name = member.key.string(scratch[index++ % 2]);
+        if (index > 1 && name <= previous)
+            return false;
+        while (bound != table.end() && bound->name < name)
+            ++bound;
+        if (bound != table.end() && bound->name == name &&
+            !bound->decode(member.value, base + bound->offset))
+            return false;
+        previous = name;
+    }
+    return true;
+}
+
+} // namespace
+
+void
+registerResultCounters(StatRegistry &registry,
+                       const WorkloadResult &result)
+{
     registerGpuStats(registry, result.stats);
-    registerCycleBuckets(registry, result.profileSm,
-                         result.profileRt, "profile.sm",
-                         "profile.rt");
+    registerCycleBuckets(registry, result.profileSm, result.profileRt,
+                         "profile.sm", "profile.rt");
     registerRequesterStats(registry, result.l1Rt, "l1.rt");
     registerRequesterStats(registry, result.l1Shader, "l1.shader");
     registerRequesterStats(registry, result.l2Rt, "l2.rt");
     registerRequesterStats(registry, result.l2Shader, "l2.shader");
     registerDramStats(registry, result.dram);
     registerKindStats(registry, result.kindReads, result.kindMisses);
-    std::string scratch;
-    for (JsonMember member : stats.members()) {
-        if (member.value.isNumber())
-            registry.setCounter(member.key.string(scratch),
-                                member.value.counter());
-    }
-    // AccelStats is exposed as formulas; restore its fields by name.
-    auto accel = [&](const char *name, auto &field) {
-        readJson(stats.find(std::string("accel.") + name), field);
-    };
-    AccelStats::fields(result.accelStats, accel);
 }
-
-} // namespace
 
 std::string
 configFingerprint(const GpuConfig &config)
@@ -374,7 +472,8 @@ decodeRunReportEntry(JsonRef entry, const RunReportHeader &header,
     if (!stats.isObject())
         return false;
     result.statsJson = stats.raw();
-    restoreCounters(result, stats);
+    if (!restoreCounters(result, stats))
+        return false;
     // DramStats.channels feeds the dram.efficiency formula and is
     // config-derived, not a counter.
     result.dram.channels = header.config.dramChannels;

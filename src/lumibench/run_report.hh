@@ -34,6 +34,7 @@ namespace lumi
 {
 
 class JsonWriter;
+class StatRegistry;
 
 /** Schema tag written into (and required of) every report file. */
 inline constexpr const char *kRunReportSchema =
@@ -224,10 +225,21 @@ enum EntryMember
 JsonRef entryMember(JsonRef entry, EntryMember member);
 
 /**
+ * Register the counter structs of @p result that a decoded entry
+ * restores (GpuStats, the aggregate cycle account, the requester
+ * splits, DRAM and the per-DataKind arrays), under the names the
+ * stat dump used.
+ */
+void registerResultCounters(StatRegistry &registry,
+                            const WorkloadResult &result);
+
+/**
  * Decode workload entry @p entry into @p out: runReportJson()
  * inverted, trace and host profile aside; statsJson is sliced out
  * of the parsed text verbatim. False when the stats, a
- * metricSchema() key or a well-formed interval series is missing.
+ * metricSchema() key or a well-formed interval series is missing,
+ * when the stats names are not strictly sorted, or when a counter
+ * registerResultCounters() binds is not a plain uint64 integer.
  */
 bool decodeRunReportEntry(JsonRef entry, const RunReportHeader &header,
                           WorkloadResult &out);

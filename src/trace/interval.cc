@@ -69,22 +69,21 @@ IntervalSeries::fromJson(JsonRef doc, IntervalSeries &out)
     if (!doc.isObject())
         return false;
     IntervalSeries series;
-    series.interval = doc.find("interval").counter();
-
-    JsonRef cycles = doc.find("cycles");
-    if (!cycles.isArray())
-        return false;
-    for (JsonRef cycle : cycles.items())
-        series.cycles.push_back(cycle.counter());
-
     JsonRef varying = doc.find("series");
     JsonRef constant = doc.find("constant");
-    if (!varying.isObject())
+    if (!doc.find("interval").readCounter(series.interval) ||
+        !doc.find("cycles").readCounters(series.cycles) ||
+        !varying.isObject() || !constant.isObject())
         return false;
+    size_t samples = series.cycles.size();
+    size_t count = varying.size() + constant.size();
+    series.names.reserve(count);
+    series.values.reserve(count);
 
     // Merge the varying matrix and the compacted constants back into
-    // one sorted name list; both sections are written sorted, so a
-    // two-way merge restores the canonical order.
+    // one name list. Both sections are written sorted and disjoint,
+    // so the merge must come out strictly increasing; a duplicated
+    // or unsorted name fails.
     JsonMembers vs = varying.members();
     JsonMembers cs = constant.members();
     auto v = vs.begin();
@@ -100,22 +99,22 @@ IntervalSeries::fromJson(JsonRef doc, IntervalSeries &out)
     while (v != vs.end() || c != cs.end()) {
         bool take_varying =
             v != vs.end() && (c == cs.end() || vkey < ckey);
+        std::string_view key = take_varying ? vkey : ckey;
+        if (!series.names.empty() && key <= series.names.back())
+            return false;
+        series.names.emplace_back(key);
+        std::vector<uint64_t> &column = series.values.emplace_back();
         if (take_varying) {
-            JsonRef value = (*v).value;
-            std::vector<uint64_t> column;
-            column.reserve(series.cycles.size());
-            for (JsonRef item : value.items())
-                column.push_back(item.counter());
-            if (!value.isArray() || column.size() != series.cycles.size())
+            if (!(*v).value.readCounters(column) ||
+                column.size() != samples)
                 return false;
-            series.names.emplace_back(vkey);
-            series.values.push_back(std::move(column));
             if (++v != vs.end())
                 vkey = (*v).key.string(vname);
         } else {
-            series.names.emplace_back(ckey);
-            series.values.emplace_back(series.cycles.size(),
-                                       (*c).value.counter());
+            uint64_t value = 0;
+            if (!(*c).value.readCounter(value))
+                return false;
+            column.assign(samples, value);
             if (++c != cs.end())
                 ckey = (*c).key.string(cname);
         }

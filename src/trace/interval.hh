@@ -90,7 +90,9 @@ struct IntervalSeries
 
     /**
      * Parse a toJson() document from its tape node @p doc; false on
-     * schema mismatch.
+     * schema mismatch, on any interval, cycle or value token that is
+     * not a plain uint64 integer, and on names that repeat or are out
+     * of order across "series" and "constant".
      */
     static bool fromJson(JsonRef doc, IntervalSeries &out);
 };

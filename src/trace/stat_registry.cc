@@ -86,22 +86,6 @@ StatRegistry::value(const std::string &name) const
     return std::nan("");
 }
 
-bool
-StatRegistry::setCounter(std::string_view name, uint64_t value)
-{
-    auto it = index_.find(name);
-    if (it == index_.end())
-        return false;
-    const Entry &entry = entries_[it->second];
-    if (entry.kind != Kind::Counter || !entry.counter)
-        return false;
-    // Counters are registered by address from mutable structs; the
-    // const in the binding only promises the *registry* won't write
-    // during a dump. Rehydration is the sanctioned writer.
-    *const_cast<uint64_t *>(entry.counter) = value;
-    return true;
-}
-
 std::vector<std::string>
 StatRegistry::names() const
 {

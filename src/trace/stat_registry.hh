@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -97,15 +96,22 @@ class StatRegistry
     double value(const std::string &name) const;
 
     /**
-     * Write @p value back through a registered counter binding.
-     * This is the rehydration path: the campaign result cache
-     * registers a result's counter structs under the same names the
-     * dump used, then restores saved values through those bindings,
-     * so the name->field mapping can never drift from the forward
-     * registration. False if @p name is not a registered counter.
-     * The lookup takes a view, so a restore allocates no string.
+     * Call @p visit(name, address) for each counter binding, in
+     * registration order. This is the read-only view the result
+     * cache builds its restore table from: it registers a prototype
+     * result's counter structs under the same names the dump used
+     * and keeps each name's offset, so the name->field mapping can
+     * never drift from the forward registration.
      */
-    bool setCounter(std::string_view name, uint64_t value);
+    template <typename Visit>
+    void
+    visitCounters(Visit &&visit) const
+    {
+        for (const Entry &entry : entries_) {
+            if (entry.kind == Kind::Counter && entry.counter)
+                visit(entry.name, entry.counter);
+        }
+    }
 
     /** All registered names, lexicographically sorted. */
     std::vector<std::string> names() const;
@@ -147,19 +153,7 @@ class StatRegistry
     bool insert(Entry &&entry);
 
     std::vector<Entry> entries_;
-    /** Hashes any string-like key, for lookups by view. */
-    struct NameHash
-    {
-        using is_transparent = void;
-        size_t
-        operator()(std::string_view name) const
-        {
-            return std::hash<std::string_view>{}(name);
-        }
-    };
-
-    std::unordered_map<std::string, size_t, NameHash, std::equal_to<>>
-        index_;
+    std::unordered_map<std::string, size_t> index_;
 };
 
 } // namespace lumi

@@ -28,6 +28,7 @@
 #include "lumibench/workload.hh"
 #include "trace/interval.hh"
 #include "trace/json_read.hh"
+#include "trace/stat_registry.hh"
 
 using namespace lumi;
 
@@ -144,17 +145,50 @@ TEST(IntervalSeries, FromJsonRejectsMalformedDocuments)
 {
     auto parseSeries = [](const std::string &text) {
         JsonTape tape;
-        EXPECT_TRUE(tape.parse(text));
+        EXPECT_TRUE(tape.parse(text)) << text;
         IntervalSeries out;
         return IntervalSeries::fromJson(tape.root(), out);
     };
-    // Series column shorter than the cycle grid.
-    EXPECT_FALSE(parseSeries(
-        "{\"interval\":10,\"cycles\":[10,20],"
-        "\"series\":{\"a\":[1]},\"constant\":{}}"));
-    // Missing cycles array entirely.
-    EXPECT_FALSE(parseSeries(
-        "{\"interval\":10,\"series\":{},\"constant\":{}}"));
+    // The shape every bad row below breaks in one place.
+    auto doc = [](const std::string &interval, const std::string &cycles,
+                  const std::string &series, const std::string &constant) {
+        return "{\"interval\":" + interval + ",\"cycles\":[" + cycles +
+               "],\"series\":{" + series + "},\"constant\":{" +
+               constant + "}}";
+    };
+    EXPECT_TRUE(parseSeries(
+        doc("10", "10,20", "\"b\":[1,2]", "\"a\":3,\"c\":4")));
+
+    const std::pair<const char *, std::string> bad[] = {
+        {"column shorter than the grid",
+         doc("10", "10,20", "\"a\":[1]", "")},
+        {"no cycles array",
+         "{\"interval\":10,\"series\":{},\"constant\":{}}"},
+        {"no constant map",
+         "{\"interval\":10,\"cycles\":[10],\"series\":{}}"},
+        {"fractional interval", doc("1.5", "10", "", "")},
+        {"fractional cycle", doc("10", "10,2.5", "", "")},
+        {"negative cycle", doc("10", "-1", "", "")},
+        {"fractional value", doc("10", "10,20", "\"a\":[1,1.5]", "")},
+        {"negative value", doc("10", "10,20", "\"a\":[1,-1]", "")},
+        {"string value", doc("10", "10,20", "\"a\":[1,\"7\"]", "")},
+        {"fractional constant", doc("10", "10", "", "\"a\":1.5")},
+        {"exponent constant", doc("10", "10", "", "\"a\":1e3")},
+        {"string constant", doc("10", "10", "", "\"a\":\"7\"")},
+        {"overflowing constant",
+         doc("10", "10", "", "\"a\":18446744073709551616")},
+        {"name in both sections",
+         doc("10", "10,20", "\"a\":[1,2]", "\"a\":3")},
+        {"repeated series name",
+         doc("10", "10,20", "\"a\":[1,2],\"a\":[1,2]", "")},
+        {"repeated constant name",
+         doc("10", "10", "", "\"a\":1,\"a\":1")},
+        {"unsorted series",
+         doc("10", "10,20", "\"b\":[1,2],\"a\":[1,2]", "")},
+        {"unsorted constants", doc("10", "10", "", "\"b\":1,\"a\":1")},
+    };
+    for (const auto &[name, text] : bad)
+        EXPECT_FALSE(parseSeries(text)) << name << ": " << text;
 }
 
 TEST(Interval, SamplingHasZeroObserverEffect)
@@ -316,7 +350,17 @@ TEST_P(CacheRoundTrip, WarmReportMatchesCold)
         appendFields(window, warm_fields);
     appendFields(cold.analytical, cold_fields);
     appendFields(warm.analytical, warm_fields);
+    appendFields(cold.accelStats, cold_fields);
+    appendFields(warm.accelStats, warm_fields);
     expectSameFields(cold_fields, warm_fields);
+
+    // The restored counter structs themselves, not the verbatim
+    // statsJson slice: bound to a registry, they dump the same bytes.
+    StatRegistry cold_counters;
+    StatRegistry warm_counters;
+    registerResultCounters(cold_counters, cold);
+    registerResultCounters(warm_counters, warm);
+    EXPECT_EQ(warm_counters.toJson(), cold_counters.toJson());
 
     // Numeric parity: std::from_chars gives every metric value and
     // counter of the report the bits strtod/strtoull gave.
